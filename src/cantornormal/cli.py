@@ -13,6 +13,7 @@ import argparse
 import hashlib
 import json
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -59,7 +60,11 @@ def _build_target(name: str, seq: BasicSequence, args) -> DigitSequence:
                 raise ArgumentError(
                     f"bad divergence modulus spec {args.mod_div!r}; expected auto or file:path"
                 )
-            entries = json.loads(Path(rest).read_text())["entries"]
+            try:
+                text = Path(rest).read_text()
+            except FileNotFoundError as exc:
+                raise ArgumentError(f"divergence modulus file not found: {rest}") from exc
+            entries = json.loads(text)["entries"]
             mod_div = ModulusTable(seq, entries)
         ud = UDSource(getattr(args, "ud", "vdc"))
         return build_patched_uniform(seq, mod_div=mod_div, ud=ud, log_base=args.log_base)
@@ -74,12 +79,14 @@ def _load_digit_file(seq: BasicSequence, path: Path) -> DigitSequence:
         digits = json.loads(text)["digits"]
     else:
         digits = []
-        for line in text.splitlines():
+        for lineno, line in enumerate(text.splitlines(), start=1):
             line = line.strip()
             if not line:
                 continue
-            parts = line.split(",")
-            digits.append(int(parts[-1]))
+            try:
+                digits.append(int(line.split(",")[-1]))
+            except ValueError as exc:
+                raise ArgumentError(f"{path}:{lineno}: digit {line!r} is not an integer") from exc
     return finite_digits(seq, digits)
 
 
@@ -238,10 +245,10 @@ def _cmd_value(args) -> None:
     params = {"base": args.base, "digits": args.digits, "exact": args.exact}
     if args.exact:
         interval = prefix_value(seq, E.prefix(args.exact))
-        body = (
-            f"{interval.lower.numerator}/{interval.lower.denominator}"
-            f" +/- 1/{interval.width.denominator}\n"
-        )
+        # Decimal prints an int's exact digits, also past the 4300-digit
+        # limit of Python's int-to-str conversion
+        lower, den = interval.lower, interval.width.denominator
+        body = f"{Decimal(lower.numerator)}/{Decimal(lower.denominator)} +/- 1/{Decimal(den)}\n"
     else:
         digits = to_base_b(E, args.base, args.digits)
         body = "0." + format_digits(digits, args.base) + f" (base {args.base})\n"

@@ -2,7 +2,7 @@
 
 Three routes produce the same digits:
 
-* ``generate_digits`` - bulk arrays via the compiled kernels (fast path),
+* ``generate_digits`` - bulk arrays via the numpy region kernel (fast path),
 * ``digit_stream``    - a stateful pure-Python generator walking windows in
   position order (single consumer),
 * ``digit_at``        - a direct per-position oracle that recounts earlier
@@ -57,7 +57,6 @@ def generate_digits(
     *,
     index: PartitionIndex | None = None,
     spill_limit: int = DEFAULT_SPILL_LIMIT,
-    use_numba: bool | None = None,
 ) -> np.ndarray:
     """Digits at positions 1..count as an int64 array."""
     if count < 0:
@@ -72,7 +71,7 @@ def generate_digits(
             nwin_total = (hi - lo) // r
             nwin = min(nwin_total, -(-(count - lo) // r))
             bases = seq.bases(lo + 1, lo + nwin * r)
-            digits, distinct = region_digits(bases, r, use_numba=use_numba)
+            digits, distinct = region_digits(bases, r)
             if distinct > spill_limit:
                 raise CounterSpillError(
                     f"{distinct} distinct base windows in one region exceeds "

@@ -1,10 +1,9 @@
-"""Hot numeric kernels, JIT-compiled when numba is available.
+"""Hot numeric kernels, vectorised with numpy.
 
-Each kernel ships in two equivalent flavours: a loop version compiled with
-numba's @njit and a vectorised pure-numpy version. Setting the environment
-variable CANTORNORMAL_DISABLE_NUMBA (to any non-empty value) before import
-selects the numpy path; so does a missing numba installation. The benchmark
-script under benchmarks/ times both flavours side by side.
+Three kernels carry the bulk work: decoding the cyclic block assignment of
+one region (``region_digits``), marking block occurrences (``match_mask``)
+and evaluating truncated orbit values exactly (``orbit_numbers``). Each
+works on whole arrays per step, never per position in Python.
 
 All kernels work on int64 arrays and are guarded against overflow by the
 callers (window-key width and orbit denominators are checked in Python
@@ -13,24 +12,9 @@ before dispatch).
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from .errors import ArgumentError
-
-NUMBA_ENV_FLAG = "CANTORNORMAL_DISABLE_NUMBA"
-
-if os.environ.get(NUMBA_ENV_FLAG):
-    HAVE_NUMBA = False
-else:
-    try:
-        from numba import njit, types
-        from numba.typed import Dict
-
-        HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        HAVE_NUMBA = False
 
 
 # ---------------------------------------------------------------------------
@@ -45,53 +29,7 @@ def _check_key_width(beta: int, r: int) -> None:
         )
 
 
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _region_digits_numba(bases, r, beta):  # pragma: no cover - compiled
-        nwin = bases.shape[0] // r
-        out = np.empty(nwin * r, dtype=np.int64)
-        counts = Dict.empty(types.int64, types.int64)
-        for j in range(nwin):
-            key = 0
-            prod = 1
-            for i in range(r):
-                b = bases[j * r + i]
-                key = key * beta + b
-                prod *= b
-            c = counts.get(key, 0) + 1
-            counts[key] = c
-            idx = (c - 1) % prod
-            for i in range(r - 1, -1, -1):
-                out[j * r + i] = idx % bases[j * r + i]
-                idx //= bases[j * r + i]
-        return out, len(counts)
-
-
-def _region_digits_numpy(bases, r, beta):
-    nwin = bases.shape[0] // r
-    win = bases[: nwin * r].reshape(nwin, r)
-    weights = beta ** np.arange(r - 1, -1, -1, dtype=np.int64)
-    keys = (win * weights).sum(axis=1)
-    # occurrence rank of each window among equal keys, in position order
-    uniq, inv = np.unique(keys, return_inverse=True)
-    order = np.argsort(inv, kind="stable")
-    sorted_inv = inv[order]
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(sorted_inv)) + 1))
-    group_sizes = np.diff(np.concatenate((starts, [nwin])))
-    rank_sorted = np.arange(nwin, dtype=np.int64) - np.repeat(starts, group_sizes)
-    occ = np.empty(nwin, dtype=np.int64)
-    occ[order] = rank_sorted
-    prod = win.prod(axis=1)
-    idx = occ % prod
-    out = np.empty((nwin, r), dtype=np.int64)
-    for i in range(r - 1, -1, -1):
-        out[:, i] = idx % win[:, i]
-        idx //= win[:, i]
-    return out.reshape(-1), int(uniq.size)
-
-
-def region_digits(bases: np.ndarray, r: int, use_numba: bool | None = None):
+def region_digits(bases: np.ndarray, r: int):
     """Digits for the windows whose bases are packed row-major in `bases`.
 
     Returns (digits, distinct_window_count). Windows are processed in
@@ -107,42 +45,33 @@ def region_digits(bases: np.ndarray, r: int, use_numba: bool | None = None):
         return np.empty(0, dtype=np.int64), 0
     beta = int(bases.max()) + 1
     _check_key_width(beta, r)
-    if use_numba is None:
-        use_numba = HAVE_NUMBA
-    if use_numba and HAVE_NUMBA:
-        out, distinct = _region_digits_numba(bases, r, beta)
-        return out, int(distinct)
-    return _region_digits_numpy(bases, r, beta)
+    nwin = bases.size // r
+    win = bases.reshape(nwin, r)
+    weights = beta ** np.arange(r - 1, -1, -1, dtype=np.int64)
+    keys = win @ weights
+    # occurrence rank of each window among equal keys, in position order:
+    # a stable sort keeps equal keys in position order, and each window's
+    # rank is its distance from the first window of its key group
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    first = np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1]))
+    positions = np.arange(nwin, dtype=np.int64)
+    group_start = np.maximum.accumulate(np.where(first, positions, 0))
+    occ = np.empty(nwin, dtype=np.int64)
+    occ[order] = positions - group_start
+    idx = occ % win.prod(axis=1)
+    out = np.empty((nwin, r), dtype=np.int64)
+    for i in range(r - 1, -1, -1):
+        out[:, i] = idx % win[:, i]
+        idx //= win[:, i]
+    return out.reshape(-1), int(np.count_nonzero(first))
 
 
 # ---------------------------------------------------------------------------
 # block occurrence mask
 # ---------------------------------------------------------------------------
 
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _match_mask_numba(digits, block, n):  # pragma: no cover - compiled
-        k = block.shape[0]
-        out = np.zeros(n, dtype=np.bool_)
-        for i in range(n):
-            hit = True
-            for j in range(k):
-                if digits[i + j] != block[j]:
-                    hit = False
-                    break
-            out[i] = hit
-        return out
-
-
-def _match_mask_numpy(digits, block, n):
-    mask = np.ones(n, dtype=bool)
-    for j, b in enumerate(block):
-        mask &= digits[j : j + n] == b
-    return mask
-
-
-def match_mask(digits: np.ndarray, block, n: int, use_numba: bool | None = None) -> np.ndarray:
+def match_mask(digits: np.ndarray, block, n: int) -> np.ndarray:
     """Boolean mask over start positions 1..n marking occurrences of `block`."""
     block_arr = np.asarray(block, dtype=np.int64)
     k = block_arr.size
@@ -155,55 +84,17 @@ def match_mask(digits: np.ndarray, block, n: int, use_numba: bool | None = None)
     if n <= 0:
         return np.zeros(0, dtype=bool)
     digits = np.ascontiguousarray(digits, dtype=np.int64)
-    if use_numba is None:
-        use_numba = HAVE_NUMBA
-    if use_numba and HAVE_NUMBA:
-        return _match_mask_numba(digits, block_arr, n)
-    return _match_mask_numpy(digits, block_arr, n)
+    mask = np.ones(n, dtype=bool)
+    for j, b in enumerate(block_arr):
+        mask &= digits[j : j + n] == b
+    return mask
 
 
 # ---------------------------------------------------------------------------
 # truncated orbit values
 # ---------------------------------------------------------------------------
 
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _orbit_numbers_numba(digits, bases, depths):  # pragma: no cover - compiled
-        count = depths.shape[0]
-        num = np.empty(count, dtype=np.int64)
-        den = np.empty(count, dtype=np.int64)
-        for m in range(count):
-            a = 0
-            d = 1
-            for i in range(depths[m]):
-                q = bases[m + i]
-                a = a * q + digits[m + i]
-                d = d * q
-            num[m] = a
-            den[m] = d
-        return num, den
-
-
-def _orbit_numbers_numpy(digits, bases, depths):
-    count = depths.shape[0]
-    num = np.zeros(count, dtype=np.int64)
-    den = np.ones(count, dtype=np.int64)
-    max_depth = int(depths.max(initial=0))
-    for i in range(max_depth):
-        live = depths > i
-        idx = np.flatnonzero(live) + i
-        num[live] = num[live] * bases[idx] + digits[idx]
-        den[live] *= bases[idx]
-    return num, den
-
-
-def orbit_numbers(
-    digits: np.ndarray,
-    bases: np.ndarray,
-    depths: np.ndarray,
-    use_numba: bool | None = None,
-):
+def orbit_numbers(digits: np.ndarray, bases: np.ndarray, depths: np.ndarray):
     """Exact numerator/denominator of each truncated orbit value.
 
     Entry m uses digits[m], digits[m+1], ... for depths[m] steps (callers
@@ -223,8 +114,18 @@ def orbit_numbers(
         raise ArgumentError("truncation depth too large for int64 denominators")
     digits = np.ascontiguousarray(digits, dtype=np.int64)
     bases = np.ascontiguousarray(bases, dtype=np.int64)
-    if use_numba is None:
-        use_numba = HAVE_NUMBA
-    if use_numba and HAVE_NUMBA:
-        return _orbit_numbers_numba(digits, bases, depths)
-    return _orbit_numbers_numpy(digits, bases, depths)
+    count = depths.size
+    num = np.zeros(count, dtype=np.int64)
+    den = np.ones(count, dtype=np.int64)
+    # one Horner step per depth over the slice of points that can still be
+    # live: point m reads index m + i, and m + depths[m] <= need, so every
+    # point with m >= c is already finished at step i
+    for i in range(int(depths.max())):
+        c = min(count, bases.size - i, digits.size - i)
+        live = depths[:c] > i
+        q = np.where(live, bases[i : i + c], 1)
+        head = num[:c]
+        head *= q
+        head += np.where(live, digits[i : i + c], 0)
+        den[:c] *= q
+    return num, den

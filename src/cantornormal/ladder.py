@@ -47,12 +47,6 @@ class BaseWindow:
     def product(self) -> int:
         return math.prod(self.bases)
 
-    def span_product(self, i: int, k: int) -> int:
-        """Product of bases i..i+k-1 within the window (1-based i)."""
-        if i < 1 or i + k - 1 > self.r:
-            raise ArgumentError(f"span {i}..{i + k - 1} outside window of length {self.r}")
-        return math.prod(self.bases[i - 1 : i - 1 + k])
-
 
 class PartitionIndex:
     """Caches the ladder ladder_index, region boundaries boundary, and position lookups."""

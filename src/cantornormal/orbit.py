@@ -85,7 +85,6 @@ def orbit_values(
     *,
     depth: int | None = None,
     index: PartitionIndex | None = None,
-    use_numba: bool | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Float orbit values and error bounds for indices 0..count-1 (bulk)."""
     if count < 0:
@@ -105,7 +104,7 @@ def orbit_values(
     need = int((np.arange(count) + depths).max())
     digits = E.prefix(need) if isinstance(E, DigitSequence) else np.asarray(E, dtype=np.int64)
     bases = seq.bases(1, need)
-    num, den = orbit_numbers(digits, bases, depths, use_numba=use_numba)
+    num, den = orbit_numbers(digits, bases, depths)
     return num / den, 1.0 / den
 
 

@@ -388,7 +388,13 @@ def parse_sequence_spec(spec: str) -> BasicSequence:
         path = Path(rest)
         if not path.exists():
             raise ArgumentError(f"sequence file not found: {path}")
-        return sequence_from_json(json.loads(path.read_text()))
-    if head == "json":
-        return sequence_from_json(json.loads(rest))
-    raise ArgumentError(f"unknown sequence spec kind {head!r}")
+        text = path.read_text()
+    elif head == "json":
+        text = rest
+    else:
+        raise ArgumentError(f"unknown sequence spec kind {head!r}")
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ArgumentError(f"bad sequence JSON in {spec!r}: {exc}") from exc
+    return sequence_from_json(data)

@@ -513,10 +513,6 @@ class Schedule:
             j += 1
         return j
 
-    def in_donor_segment(self, n: int) -> bool:
-        i = self.segment_index(n)
-        return i >= 1 and n <= self.level(i) + i - 1
-
     def segment_positions(self, upto: int) -> list[int]:
         """All donor-patched positions <= upto."""
         out = []

@@ -1,8 +1,11 @@
 import hashlib
 import json
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
+from cantornormal import ConstantSequence, constructed_digits, prefix_value
 from cantornormal.cli import main
 
 
@@ -69,6 +72,20 @@ def test_value_exact_prefix(capsys):
     assert out == "5/16 +/- 1/16\n"
 
 
+def test_value_exact_past_int_str_limit(capsys):
+    # the denominator 2**14300 has 4305 decimal digits, past the 4300-digit
+    # int-to-str limit; Decimal parses them without it
+    code, out, err = run_cli(capsys, "value", "--seq", "constant:2", "--target", "xq",
+                             "--exact", "14300")
+    assert code == 0, err
+    lower, _, width = out.rstrip("\n").partition(" +/- ")
+    parsed = [int(Decimal(part)) for part in lower.split("/") + width.split("/")]
+    seq = ConstantSequence(2)
+    interval = prefix_value(seq, constructed_digits(seq).prefix(14300))
+    assert Fraction(*parsed[:2]) == interval.lower
+    assert Fraction(*parsed[2:]) == interval.width
+
+
 def test_discrepancy_report(capsys):
     code, out, _ = run_cli(capsys, "discrepancy", "--seq", "constant:2",
                            "--checkpoints", "100,1000", "--depth", "fixed:16")
@@ -101,6 +118,27 @@ def test_diagnose_trend(capsys):
 
 def test_argument_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "digits", "--seq", "bogus:2", "--count", "4")
+    assert code == 2
+    assert "error[argument]" in err
+
+
+@pytest.mark.parametrize(
+    "case", ["bad-json-seq", "bad-json-seq-file", "missing-mod-div", "non-integer-digit"]
+)
+def test_bad_input_exits_2(capsys, tmp_path, case):
+    digit_file = tmp_path / "digits.csv"
+    digit_file.write_text("1,0\n2,x\n")
+    seq_file = tmp_path / "seq.json"
+    seq_file.write_text("{bad")
+    argv = {
+        "bad-json-seq": ("digits", "--seq", "json:{bad", "--count", "4"),
+        "bad-json-seq-file": ("digits", "--seq", f"file:{seq_file}", "--count", "4"),
+        "missing-mod-div": ("construct", "--seq", "preset:log", "--target", "rnq-dnq-not-nq",
+                            "--mod-div", f"file:{tmp_path / 'missing.json'}", "--count", "4"),
+        "non-integer-digit": ("stats", "--seq", "constant:2", "--source", f"file:{digit_file}",
+                              "--blocks", "0", "--checkpoints", "1"),
+    }[case]
+    code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert "error[argument]" in err
 

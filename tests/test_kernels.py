@@ -3,51 +3,71 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cantornormal import ArgumentError
-from cantornormal.kernels import (
-    HAVE_NUMBA,
-    match_mask,
-    orbit_numbers,
-    region_digits,
-)
-
-needs_numba = pytest.mark.skipif(not HAVE_NUMBA, reason="numba disabled")
+from cantornormal.kernels import match_mask, orbit_numbers, region_digits
 
 
-@needs_numba
+# plain-Python reference loops: one position at a time, no vectorisation
+
+def _region_digits_reference(bases, r):
+    beta = int(bases.max()) + 1
+    nwin = bases.shape[0] // r
+    out = np.empty(nwin * r, dtype=np.int64)
+    counts: dict = {}
+    for j in range(nwin):
+        key = 0
+        prod = 1
+        for i in range(r):
+            b = int(bases[j * r + i])
+            key = key * beta + b
+            prod *= b
+        c = counts.get(key, 0) + 1
+        counts[key] = c
+        idx = (c - 1) % prod
+        for i in range(r - 1, -1, -1):
+            out[j * r + i] = idx % bases[j * r + i]
+            idx //= int(bases[j * r + i])
+    return out, len(counts)
+
+
+def _match_mask_reference(digits, block, n):
+    out = np.zeros(n, dtype=bool)
+    for i in range(n):
+        out[i] = all(digits[i + j] == b for j, b in enumerate(block))
+    return out
+
+
+def _orbit_numbers_reference(digits, bases, depths):
+    num = np.empty(depths.size, dtype=np.int64)
+    den = np.empty(depths.size, dtype=np.int64)
+    for m, depth in enumerate(depths):
+        a, d = 0, 1
+        for i in range(depth):
+            q = int(bases[m + i])
+            a = a * q + int(digits[m + i])
+            d *= q
+        num[m], den[m] = a, d
+    return num, den
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     st.integers(min_value=1, max_value=5),
     st.lists(st.integers(min_value=2, max_value=9), min_size=5, max_size=120),
 )
-def test_region_digits_paths_agree(r, raw):
+def test_region_digits_matches_reference_loop(r, raw):
     bases = np.asarray(raw[: (len(raw) // r) * r], dtype=np.int64)
     if bases.size == 0:
         return
-    d1, k1 = region_digits(bases, r, use_numba=True)
-    d2, k2 = region_digits(bases, r, use_numba=False)
-    assert (d1 == d2).all()
-    assert k1 == k2
+    got, want = region_digits(bases, r), _region_digits_reference(bases, r)
+    assert (got[0] == want[0]).all() and got[1] == want[1]
 
 
 def test_region_digits_numpy_reference_loop():
     rng = np.random.default_rng(7)
     r = 3
     bases = rng.integers(2, 6, size=r * 500).astype(np.int64)
-    got, distinct = region_digits(bases, r, use_numba=False)
-    # straightforward dict walk as the reference
-    counts: dict = {}
-    out = []
-    for j in range(500):
-        w = tuple(bases[j * r : (j + 1) * r])
-        counts[w] = counts.get(w, 0) + 1
-        idx = (counts[w] - 1) % int(np.prod(w))
-        digits = []
-        for b in reversed(w):
-            digits.append(idx % b)
-            idx //= b
-        out.extend(reversed(digits))
-    assert got.tolist() == out
-    assert distinct == len(counts)
+    got, want = region_digits(bases, r), _region_digits_reference(bases, r)
+    assert got[0].tolist() == want[0].tolist() and got[1] == want[1]
 
 
 def test_region_digits_key_width_guard():
@@ -56,15 +76,12 @@ def test_region_digits_key_width_guard():
         region_digits(bases, 62)
 
 
-@needs_numba
-def test_match_mask_paths_agree():
+def test_match_mask_matches_reference_loop():
     rng = np.random.default_rng(11)
     digits = rng.integers(0, 3, size=5000).astype(np.int64)
     for block in ([0], [2, 1], [0, 0, 2]):
         n = digits.size - len(block) + 1
-        a = match_mask(digits, block, n, use_numba=True)
-        b = match_mask(digits, block, n, use_numba=False)
-        assert (a == b).all()
+        assert (match_mask(digits, block, n) == _match_mask_reference(digits, block, n)).all()
 
 
 def test_match_mask_shortfall():
@@ -72,15 +89,18 @@ def test_match_mask_shortfall():
         match_mask(np.zeros(5, dtype=np.int64), [0, 0], 5)
 
 
-@needs_numba
-def test_orbit_numbers_paths_agree():
+def test_orbit_numbers_matches_reference_loop():
     rng = np.random.default_rng(3)
-    bases = rng.integers(2, 5, size=400).astype(np.int64)
-    digits = (rng.integers(0, 10, size=400) % bases).astype(np.int64)
-    depths = rng.integers(1, 12, size=300).astype(np.int64)
-    n1, d1 = orbit_numbers(digits, bases, depths, use_numba=True)
-    n2, d2 = orbit_numbers(digits, bases, depths, use_numba=False)
-    assert (n1 == n2).all() and (d1 == d2).all()
+    size, count = 400, 390
+    bases = rng.integers(2, 5, size=size).astype(np.int64)
+    digits = (rng.integers(0, 10, size=size) % bases).astype(np.int64)
+    # non-monotone depths, some 0, and the last points read through the last base
+    depths = rng.integers(0, 16, size=count).astype(np.int64)
+    depths[-10:] = size - np.arange(count - 10, count)
+    assert (depths == 0).any() and (np.diff(depths) < 0).any()
+    got = orbit_numbers(digits, bases, depths)
+    want = _orbit_numbers_reference(digits, bases, depths)
+    assert (got[0] == want[0]).all() and (got[1] == want[1]).all()
 
 
 def test_orbit_numbers_exact_small():
@@ -96,33 +116,3 @@ def test_orbit_numbers_depth_guard():
     digits = np.zeros(100, dtype=np.int64)
     with pytest.raises(ArgumentError):
         orbit_numbers(digits, bases, np.array([30], dtype=np.int64))
-
-
-def test_env_flag_forces_numpy_path():
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import cantornormal
-
-    # the child must import the same package, installed or found on PYTHONPATH
-    package_root = str(Path(cantornormal.__file__).resolve().parent.parent)
-    env = dict(os.environ, CANTORNORMAL_DISABLE_NUMBA="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (package_root, env.get("PYTHONPATH"))))
-    code = (
-        "import cantornormal.kernels as k\n"
-        "from cantornormal import ConstantSequence, generate_digits\n"
-        "assert not k.HAVE_NUMBA\n"
-        "print(generate_digits(ConstantSequence(2), 32).tolist())\n"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert out.returncode == 0, out.stderr
-    first32 = eval(out.stdout)
-    assert first32[:6] == [0, 1, 0, 1, 0, 1]
-    assert first32[24:32] == [0, 0, 0, 1, 1, 0, 1, 1]
