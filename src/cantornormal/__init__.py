@@ -42,6 +42,7 @@ from .sequences import (
 from .stats import (
     ConvergenceReport,
     admissible,
+    admissible_blocks,
     count_block,
     count_block_checkpoints,
     expected_count,

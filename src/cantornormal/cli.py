@@ -27,7 +27,7 @@ from .ladder import PartitionIndex
 from .orbit import orbit_discrepancy_report
 from .sequences import BasicSequence, parse_sequence_spec
 from .stats import (
-    expected_count,
+    admissible_blocks,
     format_block,
     growth_diagnostic,
     normality_report,
@@ -60,26 +60,44 @@ def _build_target(name: str, seq: BasicSequence, args) -> DigitSequence:
                 raise ArgumentError(
                     f"bad divergence modulus spec {args.mod_div!r}; expected auto or file:path"
                 )
+            entries = _json_field(Path(rest), "entries", dict)
             try:
-                text = Path(rest).read_text()
-            except FileNotFoundError as exc:
-                raise ArgumentError(f"divergence modulus file not found: {rest}") from exc
-            entries = json.loads(text)["entries"]
-            mod_div = ModulusTable(seq, entries)
+                mod_div = ModulusTable(seq, entries)
+            except (TypeError, ValueError) as exc:
+                raise ArgumentError(f"{rest}: entries must map integers to integers") from exc
         ud = UDSource(getattr(args, "ud", "vdc"))
         return build_patched_uniform(seq, mod_div=mod_div, ud=ud, log_base=args.log_base)
     raise ArgumentError(f"unknown target {name!r}; expected one of {TARGETS}")
 
 
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text()
+    except OSError as exc:
+        raise ArgumentError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ArgumentError(f"{path} is not UTF-8 text") from exc
+
+
+def _json_field(path: Path, key: str, kind: type):
+    """The `key` entry of the JSON object in `path`, which must be a `kind`."""
+    try:
+        value = json.loads(_read_text(path))[key]
+    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        raise ArgumentError(f"{path}: expected a JSON object with key {key!r}") from exc
+    if not isinstance(value, kind):
+        raise ArgumentError(f"{path}: {key!r} must be a JSON {kind.__name__}")
+    return value
+
+
 def _load_digit_file(seq: BasicSequence, path: Path) -> DigitSequence:
-    if not path.exists():
-        raise ArgumentError(f"digit file not found: {path}")
-    text = path.read_text()
     if path.suffix == ".json":
-        digits = json.loads(text)["digits"]
+        digits = _json_field(path, "digits", list)
+        if not all(type(d) is int for d in digits):
+            raise ArgumentError(f"{path}: digits must be integers")
     else:
         digits = []
-        for lineno, line in enumerate(text.splitlines(), start=1):
+        for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
             line = line.strip()
             if not line:
                 continue
@@ -113,18 +131,7 @@ def _parse_checkpoints(text: str) -> list[int]:
 def _parse_blocks(text: str, seq: BasicSequence, horizon: int) -> list[tuple]:
     if text.startswith("all:"):
         k = int(text.split(":", 1)[1])
-        if k < 1:
-            raise ArgumentError(f"block length must be >= 1, got {k}")
-        top = max(int(seq.bases(1, horizon + k - 1).max()), 2)
-        from itertools import product
-
-        blocks = [
-            b for b in product(range(top), repeat=k)
-            if expected_count(seq, b, horizon) > 0
-        ]
-        if not blocks:
-            raise ArgumentError(f"no admissible blocks of length {k} below {horizon}")
-        return blocks
+        return admissible_blocks(seq, k, horizon)
     return [parse_block(part) for part in text.split(";") if part]
 
 

@@ -25,17 +25,11 @@ class DigitSequence:
     """
 
     def __init__(
-        self,
-        seq: BasicSequence,
-        source: Callable[[int], np.ndarray],
-        description: dict,
-        *,
-        validate: bool = True,
+        self, seq: BasicSequence, source: Callable[[int], np.ndarray], description: dict
     ):
         self.seq = seq
         self._source = source
         self.description = description
-        self._validate = validate
         self._buf = np.empty(0, dtype=np.int64)
 
     def prefix(self, n: int) -> np.ndarray:
@@ -52,15 +46,6 @@ class DigitSequence:
                 raise InsufficientDigitsError(
                     f"digit source provided {fresh.size} digits, need {n}"
                 )
-            if self._validate and fresh.size:
-                bases = self.seq.bases(1, fresh.size)
-                bad = np.flatnonzero((fresh < 0) | (fresh >= bases))
-                if bad.size:
-                    p = int(bad[0]) + 1
-                    raise ArgumentError(
-                        f"digit {int(fresh[bad[0]])} at position {p} outside "
-                        f"0..{int(bases[bad[0]]) - 1}"
-                    )
             self._buf = fresh
         view = self._buf[:n]
         view.flags.writeable = False
@@ -81,13 +66,19 @@ def constructed_digits(seq: BasicSequence, *, index: PartitionIndex | None = Non
         seq,
         lambda n: generate_digits(seq, n, index=pi),
         {"op": "construct", "seq": seq.to_json()},
-        validate=False,  # the construction cannot emit an out-of-range digit
     )
 
 
 def finite_digits(seq: BasicSequence, digits) -> DigitSequence:
     """A finite, explicit digit list; reading past the end is an error."""
     arr = np.asarray(list(digits), dtype=np.int64)
+    bases = seq.bases(1, arr.size)
+    bad = np.flatnonzero((arr < 0) | (arr >= bases))
+    if bad.size:
+        i = int(bad[0])
+        raise ArgumentError(
+            f"digit {int(arr[i])} at position {i + 1} outside 0..{int(bases[i]) - 1}"
+        )
 
     def source(n: int) -> np.ndarray:
         if n > arr.size:

@@ -47,11 +47,12 @@ def admissible(seq: BasicSequence, block, i: int) -> int:
     return 1
 
 
-def _admissible_mask_and_products(seq: BasicSequence, block: tuple, n: int):
-    """Vectorized admissibility mask over start positions 1..n plus the
-    window products q_i * ... * q_{i+k-1}."""
-    k = len(block)
-    bases = seq.bases(1, n + k - 1)
+def _window_masses(bases: np.ndarray, block: tuple, n: int):
+    """Admissibility mask over start positions 1..n plus the window products
+    q_i * ... * q_{i+k-1}, from bases of positions 1 through at least n+k-1."""
+    top = int(bases.max(initial=1))
+    if top ** len(block) >= 2**63:
+        raise ArgumentError(f"window products of {len(block)} bases up to {top} overflow int64")
     mask = np.ones(n, dtype=bool)
     prods = np.ones(n, dtype=np.int64)
     for j, d in enumerate(block):
@@ -61,17 +62,60 @@ def _admissible_mask_and_products(seq: BasicSequence, block: tuple, n: int):
     return mask, prods
 
 
+def _mass_sums(mask: np.ndarray, prods: np.ndarray, checkpoints) -> list[Fraction]:
+    """Exact sums of 1/prods over the masked starts i <= n, one per n of an
+    ascending checkpoint list, accumulated in one pass."""
+    sums = []
+    total = Fraction(0)
+    lo = 0
+    for n in checkpoints:
+        values, counts = np.unique(prods[lo:n][mask[lo:n]], return_counts=True)
+        for v, c in zip(values, counts):
+            total += Fraction(int(c), int(v))
+        sums.append(total)
+        lo = n
+    return sums
+
+
+def _expected_counts(bases: np.ndarray, block: tuple, checkpoints) -> list[Fraction]:
+    return _mass_sums(*_window_masses(bases, block, checkpoints[-1]), checkpoints)
+
+
 def expected_count(seq: BasicSequence, block, n: int) -> Fraction:
     """Expected occurrences of `block` among start positions 1..n under
     independent uniform digits: sum of 1/(q_i...q_{i+k-1}) over admissible i."""
     b = _as_block(block)
     check_position(n)
-    mask, prods = _admissible_mask_and_products(seq, b, n)
-    values, counts = np.unique(prods[mask], return_counts=True)
-    total = Fraction(0)
-    for v, c in zip(values, counts):
-        total += Fraction(int(c), int(v))
-    return total
+    return _expected_counts(seq.bases(1, n + len(b) - 1), b, [n])[0]
+
+
+_MAX_CANDIDATES = 10**5
+
+
+def admissible_blocks(seq: BasicSequence, k: int, n: int) -> list[tuple]:
+    """Every length-k block admissible at some start position 1..n, in
+    lexicographic order: the blocks with a nonzero expected count.
+
+    A block is admissible at i when it lies below the base window starting
+    at i, so marking each window's top corner in the grid of candidates and
+    sweeping a suffix OR along every axis marks exactly the admissible ones.
+    """
+    if k < 1:
+        raise ArgumentError(f"block length must be >= 1, got {k}")
+    check_position(n)
+    # every base is >= 2, so a length-k block has at least 2**k candidates
+    if k >= _MAX_CANDIDATES.bit_length():
+        raise ArgumentError(f"at least 2**{k} candidate blocks of length {k}; out of desk range")
+    bases = seq.bases(1, n + k - 1)
+    limits = [int(bases[j : j + n].max()) for j in range(k)]
+    total = math.prod(limits)
+    if total > _MAX_CANDIDATES:
+        raise ArgumentError(f"{total} candidate blocks of length {k}; out of desk range")
+    grid = np.zeros(limits, dtype=bool)
+    grid[tuple(bases[j : j + n] - 1 for j in range(k))] = True
+    for axis in range(k):
+        grid = np.flip(np.logical_or.accumulate(np.flip(grid, axis), axis), axis)
+    return [tuple(b) for b in np.argwhere(grid).tolist()]
 
 
 def count_block(E, block, n: int) -> int:
@@ -123,13 +167,9 @@ def starred_variants(
     check_position(n)
     k = len(b)
     pi = index or PartitionIndex(seq)
-    mask, prods = _admissible_mask_and_products(seq, b, n)
+    mask, prods = _window_masses(seq.bases(1, n + k - 1), b, n)
     inside = np.arange(1, n + 1, dtype=np.int64) + (k - 1) <= window_end_positions(pi, n)
-    starred_mask = mask & inside
-    values, counts = np.unique(prods[starred_mask], return_counts=True)
-    q_star = Fraction(0)
-    for v, c in zip(values, counts):
-        q_star += Fraction(int(c), int(v))
+    q_star = _mass_sums(mask & inside, prods, [n])[0]
     digits = _digit_buffer(E, n + k - 1)
     n_star = int((match_mask(digits, b, n) & inside).sum())
     return q_star, n_star
@@ -225,10 +265,11 @@ def normality_report(
         raise ArgumentError(f"checkpoints must be >= 1, got {checkpoints}")
     report = ConvergenceReport()
     observed: dict[tuple, list[int]] = {}
+    bases = seq.bases(1, cps[-1] + max(map(len, blocks), default=1) - 1)
     for b in blocks:
         counts = count_block_checkpoints(E, b, cps)
         observed[b] = counts
-        expected = [expected_count(seq, b, n) for n in cps]
+        expected = _expected_counts(bases, b, cps)
         report.expected_growth[b] = expected
         for n, obs, exp in zip(cps, counts, expected):
             ratio = None if exp == 0 else obs / float(exp)
@@ -278,12 +319,12 @@ def growth_diagnostic(seq: BasicSequence, block, checkpoints) -> GrowthDiagnosti
         raise ArgumentError(f"checkpoints must be >= 1, got {checkpoints}")
     rows: list[GrowthRow] = []
     best = -math.inf
-    for n in cps:
-        if n == 1:
-            continue
+    cps = [n for n in cps if n > 1]
+    expected = _expected_counts(seq.bases(1, cps[-1] + len(b) - 1), b, cps) if cps else []
+    for n, exp in zip(cps, expected):
         qn = seq.running_max(n)
         scale = n * math.log(qn) / math.log(n)
-        value = float(expected_count(seq, b, n)) / scale
+        value = float(exp) / scale
         rows.append(GrowthRow(n, value, value > best))
         best = max(best, value)
     return GrowthDiagnostic(b, rows)

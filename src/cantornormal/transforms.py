@@ -23,7 +23,6 @@ from __future__ import annotations
 import logging
 import math
 from fractions import Fraction
-from itertools import product as iter_product
 
 import numpy as np
 
@@ -40,7 +39,7 @@ from .sequences import (
     ceil_log,
     check_position,
 )
-from .stats import admissible, expected_count
+from .stats import admissible, admissible_blocks, expected_count
 
 log = logging.getLogger("cantornormal")
 
@@ -69,10 +68,7 @@ def clip_digits(x: DigitSequence, target: BasicSequence) -> DigitSequence:
         return np.minimum(x.prefix(n), target.bases(1, n) - 1)
 
     return DigitSequence(
-        target,
-        source,
-        {"op": "clip", "seq": target.to_json(), "of": x.describe()},
-        validate=False,
+        target, source, {"op": "clip", "seq": target.to_json(), "of": x.describe()}
     )
 
 
@@ -144,43 +140,13 @@ def _require_infinite(seq: BasicSequence, what: str) -> None:
         )
 
 
-def build_orbit_sink(
-    Q: BasicSequence, *, log_base: str = "e", variant: str = "composed"
-) -> DigitSequence:
+def build_orbit_sink(Q: BasicSequence, *, log_base: str = "e") -> DigitSequence:
     """A stream whose block counts match the construction but whose orbit
     sinks to 0: the construction's digits clipped through the slow log-of
-    companion sequence and back.
-
-    variant "composed" applies the two clip maps literally, which lands on
-    min(digit, p_n - 1). variant "digit-max" exposes the alternative rule
-    max(digit, p_n) for side-by-side comparison; it can exceed the base at
-    small positions and is clamped (with a logged diagnostic) there.
-    """
+    companion sequence and back, which lands on min(digit, p_n - 1)."""
     _require_infinite(Q, "the orbit-sink construction")
     P = PointwiseSequence(Q, "log-of", log_base)
-    x = constructed_digits(Q)
-    if variant == "composed":
-        return clip_digits(clip_digits(x, P), Q)
-    if variant == "digit-max":
-        clamps = ClampCounter()
-
-        def source(n: int) -> np.ndarray:
-            raw = np.maximum(x.prefix(n), P.bases(1, n))
-            limit = Q.bases(1, n) - 1
-            over = raw > limit
-            for pos in np.flatnonzero(over):
-                clamps.add(f"position {int(pos) + 1}")
-            return np.minimum(raw, limit)
-
-        ds = DigitSequence(
-            Q,
-            source,
-            {"op": "digit-max", "seq": Q.to_json(), "log_base": log_base},
-            validate=False,
-        )
-        ds.clamps = clamps
-        return ds
-    raise ArgumentError(f"unknown variant {variant!r}")
+    return clip_digits(clip_digits(constructed_digits(Q), P), Q)
 
 
 def build_half_range(Q: BasicSequence, *, log_base: str = "e") -> DigitSequence:
@@ -410,22 +376,8 @@ class Schedule:
     # -- expected-count threshold -------------------------------------------
 
     def _candidate_blocks(self, n: int, k: int) -> list[tuple]:
-        limits = []
-        for offset in range(k):
-            limits.append(max(self.target.base_at(i + offset) for i in range(1, n + 1)))
-        total = math.prod(limits)
-        if total > 10**5:
-            raise ArgumentError(
-                f"{total} candidate blocks of length {k}; schedule steps this "
-                "deep are out of desk range"
-            )
-        blocks = []
-        for b in iter_product(*(range(c) for c in limits)):
-            if expected_count(self.target, b, n) == 0:
-                continue
-            if donor_divergent(self.donor, b):
-                blocks.append(b)
-        return blocks
+        blocks = admissible_blocks(self.target, k, n)
+        return [b for b in blocks if donor_divergent(self.donor, b)]
 
     def _donor_count(self, block: tuple, m: int) -> Fraction:
         return expected_count(self.donor, block, m) if m >= 1 else Fraction(0)
@@ -565,7 +517,6 @@ def build_patched_uniform(
             "ud": sched.ud.to_json(),
             "log_base": log_base,
         },
-        validate=False,
     )
     ds.schedule = sched
     return ds

@@ -122,14 +122,26 @@ def test_argument_error_exit_code(capsys):
     assert "error[argument]" in err
 
 
+BAD_MOD_DIV_FILES = ["{bad", "{}", "[]", '{"entries": 5}', '{"entries": {"1": "x"}}']
+BAD_DIGIT_JSON_FILES = ["{bad", "{}", "[1,0]", '{"digits": 5}', '{"digits": ["a"]}',
+                        '{"digits": [5]}']
+
+
 @pytest.mark.parametrize(
-    "case", ["bad-json-seq", "bad-json-seq-file", "missing-mod-div", "non-integer-digit"]
+    "case",
+    ["bad-json-seq", "bad-json-seq-file", "missing-mod-div", "non-integer-digit",
+     "digit-file-is-dir", "all-blocks-too-long", "all-blocks-too-many"]
+    + [f"mod-div {text}" for text in BAD_MOD_DIV_FILES]
+    + [f"digit-json {text}" for text in BAD_DIGIT_JSON_FILES],
 )
 def test_bad_input_exits_2(capsys, tmp_path, case):
+    kind, _, text = case.partition(" ")
     digit_file = tmp_path / "digits.csv"
     digit_file.write_text("1,0\n2,x\n")
     seq_file = tmp_path / "seq.json"
     seq_file.write_text("{bad")
+    data_file = tmp_path / "data.json"
+    data_file.write_text(text)
     argv = {
         "bad-json-seq": ("digits", "--seq", "json:{bad", "--count", "4"),
         "bad-json-seq-file": ("digits", "--seq", f"file:{seq_file}", "--count", "4"),
@@ -137,7 +149,19 @@ def test_bad_input_exits_2(capsys, tmp_path, case):
                             "--mod-div", f"file:{tmp_path / 'missing.json'}", "--count", "4"),
         "non-integer-digit": ("stats", "--seq", "constant:2", "--source", f"file:{digit_file}",
                               "--blocks", "0", "--checkpoints", "1"),
-    }[case]
+        "digit-file-is-dir": ("stats", "--seq", "constant:2", "--source", f"file:{tmp_path}",
+                              "--blocks", "0", "--checkpoints", "1"),
+        # 2**20 candidate blocks: refused up front instead of enumerated
+        "all-blocks-too-long": ("stats", "--seq", "constant:2", "--blocks", "all:20",
+                                "--checkpoints", "100"),
+        # 10**6 candidates below the per-offset base limits
+        "all-blocks-too-many": ("stats", "--seq", "constant:10", "--blocks", "all:6",
+                                "--checkpoints", "100"),
+        "mod-div": ("construct", "--seq", "preset:log", "--target", "rnq-dnq-not-nq",
+                    "--mod-div", f"file:{data_file}", "--count", "4"),
+        "digit-json": ("stats", "--seq", "constant:2", "--source", f"file:{data_file}",
+                       "--blocks", "0", "--checkpoints", "1"),
+    }[kind]
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert "error[argument]" in err

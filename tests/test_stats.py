@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -9,7 +10,9 @@ from cantornormal import (
     ArgumentError,
     ConstantSequence,
     PeriodicSequence,
+    TableSequence,
     admissible,
+    admissible_blocks,
     constructed_digits,
     count_block,
     count_block_checkpoints,
@@ -59,9 +62,43 @@ def test_expected_count_brute(c2, p23, iterated_log):
             assert expected_count(seq, block, 300) == brute_expected(seq, block, 300)
 
 
+def test_expected_count_refuses_int64_overflow():
+    wide = ConstantSequence(70000)
+    assert expected_count(wide, [0, 0, 0], 10) == Fraction(10, 70000**3)
+    with pytest.raises(ArgumentError):
+        expected_count(wide, [0, 0, 0, 0], 10)  # 70000**4 > 2**63
+
+
 def test_expected_count_monotone(p23):
     values = [expected_count(p23, [1, 2], n) for n in range(1, 40)]
     assert all(b >= a for a, b in zip(values, values[1:]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([PeriodicSequence, TableSequence]),
+       st.lists(st.integers(min_value=2, max_value=5), min_size=1, max_size=6),
+       st.integers(min_value=1, max_value=3),
+       st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=4))
+def test_admissible_blocks_and_checkpoint_sums(kind, pattern, k, checkpoints):
+    seq = kind(pattern)
+    n = max(checkpoints)
+    # the enumeration: every candidate below the largest base with a nonzero
+    # expected count, in product order
+    top = int(seq.bases(1, n + k - 1).max())
+    expect = [b for b in itertools.product(range(top), repeat=k) if expected_count(seq, b, n) > 0]
+    blocks = admissible_blocks(seq, k, n)
+    assert blocks == expect
+    # one report over unsorted checkpoints with a duplicate and n = 1, mixed
+    # block lengths and a never-admissible block, against per-checkpoint sums
+    cps = checkpoints + [1, checkpoints[0]]
+    mixed = admissible_blocks(seq, 1, n) + blocks + [(5,)]
+    report = normality_report(seq, constructed_digits(seq), mixed, cps)
+    ns = sorted(set(cps))
+    assert [(r.block, r.n) for r in report.rows] == [(b, m) for b in mixed for m in ns]
+    for r in report.rows:
+        assert r.expected == brute_expected(seq, r.block, r.n)
+    for b in mixed:
+        assert report.expected_growth[b] == [brute_expected(seq, b, m) for m in ns]
 
 
 def test_count_block_examples(c2):

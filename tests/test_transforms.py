@@ -147,17 +147,6 @@ def test_orbit_sink_refuses_bounded_bases():
         build_half_range(PeriodicSequence([3, 5]))
 
 
-def test_orbit_sink_digit_max_variant(log_preset):
-    composed = build_orbit_sink(log_preset)
-    alt = build_orbit_sink(log_preset, variant="digit-max")
-    d_min = composed.prefix(2000)
-    d_max = alt.prefix(2000)
-    assert (d_max >= d_min).all()
-    caps = log_preset.bases(1, 2000) - 1
-    assert (d_max <= caps).all()
-    assert alt.clamps.events > 0  # the max rule overflows base 2 early on
-
-
 def test_half_range_witness(log_preset):
     y = build_half_range(log_preset)
     digits = y.prefix(5000)
