@@ -148,7 +148,6 @@ def _parse_depth(text: str) -> int | None:
 
 
 def _emit(args, body: str, manifest_params: dict) -> None:
-    data = body.encode()
     sys.stdout.write(body)
     if getattr(args, "manifest", None):
         manifest = {
@@ -157,13 +156,37 @@ def _emit(args, body: str, manifest_params: dict) -> None:
             "target": getattr(args, "target", None),
             "parameters": manifest_params,
             "version": __version__,
-            "output_sha256": hashlib.sha256(data).hexdigest(),
+            "output_sha256": hashlib.sha256(body.encode()).hexdigest(),
         }
         Path(args.manifest).write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
 def _csv(rows) -> str:
     return "".join(",".join(str(c) for c in row) + "\n" for row in rows)
+
+
+_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
+
+
+def _int_rows(*columns: np.ndarray) -> str:
+    """Newline-terminated rows of comma-separated non-negative int64 columns.
+
+    The text is the same as `_csv` writes for the same rows; it is built in
+    one uint8 buffer, one decimal place of every column at a time.
+    """
+    if not columns[0].size:
+        return ""
+    widths = [np.searchsorted(_POWERS_OF_TEN, c, side="right") + 1 for c in columns]
+    ends = np.cumsum(sum(widths) + len(columns))
+    buf = np.full(int(ends[-1]), ord(","), dtype=np.uint8)
+    buf[ends - 1] = ord("\n")
+    stop = ends - 1  # one past each row's last column
+    for c, w in zip(reversed(columns), reversed(widths)):
+        for place in range(int(w.max())):
+            live = np.flatnonzero(w > place)
+            buf[stop[live] - 1 - place] = ord("0") + c[live] // 10**place % 10
+        stop = stop - w - 1
+    return buf.tobytes().decode("ascii")
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +196,8 @@ def _csv(rows) -> str:
 def _cmd_digits(args) -> None:
     seq = parse_sequence_spec(args.seq)
     E = constructed_digits(seq)
+    if args.oracle_check < 0:
+        raise ArgumentError(f"--oracle-check must be >= 0, got {args.oracle_check}")
     digits = E.prefix(args.count)
     if args.oracle_check:
         pi = PartitionIndex(seq)
@@ -190,13 +215,10 @@ def _cmd_digits(args) -> None:
 
 def _format_digit_output(args, seq: BasicSequence, digits: np.ndarray) -> str:
     if args.format == "csv":
-        return _csv((n, int(d)) for n, d in enumerate(digits, start=1))
+        return _int_rows(np.arange(1, digits.size + 1, dtype=np.int64), digits)
     if args.format == "json":
-        return json.dumps(
-            {"seq": seq.to_json(), "digits": [int(d) for d in digits]},
-            sort_keys=True,
-        ) + "\n"
-    return "".join(f"{int(d)}\n" for d in digits)
+        return json.dumps({"seq": seq.to_json(), "digits": digits.tolist()}, sort_keys=True) + "\n"
+    return _int_rows(digits)
 
 
 def _cmd_construct(args) -> None:

@@ -56,6 +56,33 @@ def floor_log(v: int, log_base: str) -> int:
     return c
 
 
+def level_start(c: int, log_base: str) -> int:
+    """Least positive integer v with floor_log(v, log_base) >= c, for c >= 0.
+
+    floor_log(v) is the largest c with b**c <= v, comparing the float b**c
+    with the int v exactly, so its levels start at ceil(b**c).
+    """
+    if log_base == "2":
+        return 1 << c
+    return math.ceil(_LOG_BASE_VALUES[log_base] ** c)
+
+
+def floor_log_array(v: np.ndarray, log_base: str) -> np.ndarray:
+    """floor_log of every entry of a positive int64 array, as int64.
+
+    The entries are placed among the level starts between the smallest and
+    the largest entry's level with one searchsorted, so each result equals
+    the scalar floor_log by construction.
+    """
+    if not v.size:
+        return np.empty(0, dtype=np.int64)
+    lo = floor_log(int(v.min()), log_base)
+    hi = floor_log(int(v.max()), log_base)
+    starts = np.array([level_start(c, log_base) for c in range(lo + 1, hi + 1)],
+                      dtype=np.int64)
+    return lo + np.searchsorted(starts, v, side="right").astype(np.int64)
+
+
 def ceil_log(v: int, log_base: str) -> int:
     """ceil(log(v)) in the requested log base; 0 for v = 1."""
     if v < 1:
@@ -276,10 +303,7 @@ class IndexLogSequence(BasicSequence):
         check_position(lo)
         if hi < lo:
             return np.empty(0, dtype=np.int64)
-        if self.log_base == "2":
-            return _floor_log2_array(np.arange(lo, hi + 1, dtype=np.int64)) + 2
-        # boundary-safe scalar fallback near powers of the log base
-        return np.array([self.base_at(n) for n in range(lo, hi + 1)], dtype=np.int64)
+        return floor_log_array(np.arange(lo, hi + 1, dtype=np.int64), self.log_base) + 2
 
     def to_json(self) -> dict:
         return {"kind": "preset", "name": "index-log", "log_base": self.log_base}
@@ -326,7 +350,7 @@ class PointwiseSequence(BasicSequence):
         inner = self.of.bases(lo, hi)
         if self.op == "half-of":
             return np.maximum(inner // 2, 2)
-        return np.array([self._apply(int(q)) for q in inner], dtype=np.int64)
+        return np.maximum(floor_log_array(inner, self.log_base), 2)
 
     def running_max(self, n: int) -> int:
         return self._apply(self.of.running_max(n))

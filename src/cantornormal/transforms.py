@@ -38,6 +38,7 @@ from .sequences import (
     TableSequence,
     ceil_log,
     check_position,
+    level_start,
 )
 from .stats import admissible, admissible_blocks, expected_count
 
@@ -232,26 +233,18 @@ def _first_position_with_base_at_least(seq: BasicSequence, c: int) -> int:
         if seq.log_base == "2":
             if c - 2 > _POSITION_BIT_CAP:
                 raise ScanBoundError("position search exceeds the bit cap")
-            t = 1 << (c - 2)
-        else:
-            if c - 2 > 700:
-                raise ScanBoundError("position search exceeds the float range")
-            base = math.e if seq.log_base == "e" else 10.0
-            t = max(1, math.ceil(base ** (c - 2)))
-        return _nudge_to_minimal(seq, c, t)
+        elif c - 2 > 700:
+            raise ScanBoundError("position search exceeds the float range")
+        return _nudge_to_minimal(seq, c, level_start(c - 2, seq.log_base))
     if isinstance(seq, PointwiseSequence):
         if seq.op == "half-of":
             return _first_position_with_base_at_least(seq.of, 2 * c)
         if seq.log_base == "2":
             if c > _POSITION_BIT_CAP:
                 raise ScanBoundError("position search exceeds the bit cap")
-            inner = 1 << c
-        else:
-            if c > 700:
-                raise ScanBoundError("position search exceeds the float range")
-            base = math.e if seq.log_base == "e" else 10.0
-            inner = math.ceil(base**c)
-        return _first_position_with_base_at_least(seq.of, inner)
+        elif c > 700:
+            raise ScanBoundError("position search exceeds the float range")
+        return _first_position_with_base_at_least(seq.of, level_start(c, seq.log_base))
     raise ArgumentError(f"no closed-form position search for {seq.spec_string()}")
 
 

@@ -3,10 +3,11 @@ import json
 from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from cantornormal import ConstantSequence, constructed_digits, prefix_value
-from cantornormal.cli import main
+from cantornormal import ConstantSequence, PeriodicSequence, constructed_digits, prefix_value
+from cantornormal.cli import _csv, _int_rows, main
 
 
 def run_cli(capsys, *argv):
@@ -37,6 +38,36 @@ def test_digits_oracle_check(capsys):
                            "--count", "500", "--format", "raw", "--oracle-check", "13")
     assert code == 0
     assert len(out.splitlines()) == 500
+
+
+def _old_raw(values) -> str:
+    return "".join(f"{int(d)}\n" for d in values)
+
+
+def _old_csv(values) -> str:
+    return _csv((n, int(d)) for n, d in enumerate(values, start=1))
+
+
+def test_int_rows_matches_per_row_rendering():
+    rng = np.random.default_rng(0)
+    cases = [rng.integers(0, 10**6 + 1, size=n, dtype=np.int64) for n in (1, 7, 1000)]
+    cases += [np.empty(0, dtype=np.int64),
+              np.arange(0, 12, dtype=np.int64),
+              np.arange(95, 105, dtype=np.int64)[::-1],
+              np.array([0, 2**63 - 1, 10**18, 10**18 - 1, 5], dtype=np.int64)]
+    for values in cases:
+        assert _int_rows(values) == _old_raw(values)
+        assert _int_rows(np.arange(1, values.size + 1, dtype=np.int64), values) == _old_csv(values)
+
+
+def test_digits_multi_digit_csv_and_raw(capsys):
+    digits = constructed_digits(PeriodicSequence([2, 13, 101])).prefix(5000)
+    assert digits.max() >= 100  # widths 1, 2 and 3
+    for fmt, render in (("csv", _old_csv), ("raw", _old_raw)):
+        code, out, _ = run_cli(capsys, "digits", "--seq", "periodic:2,13,101",
+                               "--count", "5000", "--format", fmt)
+        assert code == 0
+        assert out == render(digits)
 
 
 def test_stats_example(capsys):
@@ -130,7 +161,8 @@ BAD_DIGIT_JSON_FILES = ["{bad", "{}", "[1,0]", '{"digits": 5}', '{"digits": ["a"
 @pytest.mark.parametrize(
     "case",
     ["bad-json-seq", "bad-json-seq-file", "missing-mod-div", "non-integer-digit",
-     "digit-file-is-dir", "all-blocks-too-long", "all-blocks-too-many"]
+     "digit-file-is-dir", "all-blocks-too-long", "all-blocks-too-many",
+     "negative-oracle-check"]
     + [f"mod-div {text}" for text in BAD_MOD_DIV_FILES]
     + [f"digit-json {text}" for text in BAD_DIGIT_JSON_FILES],
 )
@@ -157,6 +189,9 @@ def test_bad_input_exits_2(capsys, tmp_path, case):
         # 10**6 candidates below the per-offset base limits
         "all-blocks-too-many": ("stats", "--seq", "constant:10", "--blocks", "all:6",
                                 "--checkpoints", "100"),
+        # a negative step would make the checked range empty
+        "negative-oracle-check": ("digits", "--seq", "constant:2", "--count", "5",
+                                  "--oracle-check", "-1"),
         "mod-div": ("construct", "--seq", "preset:log", "--target", "rnq-dnq-not-nq",
                     "--mod-div", f"file:{data_file}", "--count", "4"),
         "digit-json": ("stats", "--seq", "constant:2", "--source", f"file:{data_file}",

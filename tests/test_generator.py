@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cantornormal import (
     ArgumentError,
@@ -10,6 +11,7 @@ from cantornormal import (
     CounterSpillError,
     OccurrenceCounters,
     PeriodicSequence,
+    TableSequence,
     digit_at,
     digit_stream,
     generate_digits,
@@ -50,6 +52,20 @@ def test_oracle_matches_bulk_sampled(p23, iterated_log):
         bulk = generate_digits(seq, 1500, index=pi)
         for n in range(1, 1501, 7):
             assert digit_at(seq, n, index=pi) == int(bulk[n - 1]), (seq, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([PeriodicSequence, TableSequence]),
+       st.lists(st.integers(min_value=2, max_value=6), min_size=1, max_size=5),
+       st.integers(min_value=1, max_value=3000),
+       st.data())
+def test_three_routes_agree_on_random_sequences(kind, bases, count, data):
+    seq = kind(bases)
+    pi = PartitionIndex(seq)
+    bulk = generate_digits(seq, count, index=pi)
+    assert list(itertools.islice(digit_stream(seq, index=pi), count)) == bulk.tolist()
+    for n in data.draw(st.lists(st.integers(min_value=1, max_value=count), max_size=8)) + [count]:
+        assert digit_at(seq, n, index=pi) == int(bulk[n - 1]), (seq, n)
 
 
 def test_digit_admissibility(iterated_log):

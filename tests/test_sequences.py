@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cantornormal import (
     ArgumentError,
@@ -15,6 +15,7 @@ from cantornormal import (
     parse_sequence_spec,
     sequence_from_json,
 )
+from cantornormal.sequences import floor_log, floor_log_array, level_start
 
 
 def test_constant_base_at():
@@ -133,3 +134,43 @@ def test_spec_minilanguage(tmp_path):
 def test_periodic_running_max_is_prefix_max(pattern, n):
     s = PeriodicSequence(pattern)
     assert s.running_max(n) == max(s.base_at(i) for i in range(1, n + 1))
+
+
+def _level_starts(log_base):
+    """Level starts ceil(b**c), c <= 40, that fit in int64."""
+    return [v for v in (level_start(c, log_base) for c in range(41)) if v < 2**63 - 1]
+
+
+@pytest.mark.parametrize("log_base", ["e", "2", "10"])
+def test_level_start_is_least_value_on_its_level(log_base):
+    for c, v in enumerate(_level_starts(log_base)):
+        assert floor_log(v, log_base) == c
+        assert v == 1 or floor_log(v - 1, log_base) == c - 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["e", "2", "10"]), st.data())
+def test_floor_log_array_matches_scalar(log_base, data):
+    starts = _level_starts(log_base)
+    near = st.builds(lambda v, d: max(1, v + d), st.sampled_from(starts),
+                     st.integers(-1, 1))
+    lo = data.draw(st.integers(1, 2**62))
+    span = st.integers(lo, min(lo + data.draw(st.integers(0, 10**6)), 2**63 - 1))
+    values = data.draw(st.lists(st.one_of(near, span), max_size=50))
+    v = np.array(values, dtype=np.int64)
+    assert floor_log_array(v, log_base).tolist() == [floor_log(x, log_base) for x in values]
+
+
+@pytest.mark.parametrize("log_base", ["e", "2", "10"])
+def test_log_bases_match_base_at_across_level_starts(log_base):
+    idx = IndexLogSequence(log_base)
+    for t in _level_starts(log_base)[:8]:
+        lo, hi = max(1, t - 40), t + 40
+        assert idx.bases(lo, hi).tolist() == [idx.base_at(n) for n in range(lo, hi + 1)]
+    # inner bases on both sides of every level start up to 10**6
+    table = sorted({max(2, t + d) for t in _level_starts(log_base) if t < 10**6
+                    for d in (-1, 0, 1)})
+    for Q in (TableSequence(table), PeriodicSequence(table[::-1]), PresetSequence("log")):
+        P = PointwiseSequence(Q, "log-of", log_base)
+        lo, hi = 1, len(table) + 300
+        assert P.bases(lo, hi).tolist() == [P.base_at(n) for n in range(lo, hi + 1)]
