@@ -69,16 +69,20 @@ def constructed_digits(seq: BasicSequence, *, index: PartitionIndex | None = Non
     )
 
 
-def finite_digits(seq: BasicSequence, digits) -> DigitSequence:
-    """A finite, explicit digit list; reading past the end is an error."""
-    arr = np.asarray(list(digits), dtype=np.int64)
-    bases = seq.bases(1, arr.size)
-    bad = np.flatnonzero((arr < 0) | (arr >= bases))
+def check_digit_range(digits: np.ndarray, bases: np.ndarray) -> None:
+    """Refuse the first digit outside 0..base-1 of its position."""
+    bad = np.flatnonzero((digits < 0) | (digits >= bases))
     if bad.size:
         i = int(bad[0])
         raise ArgumentError(
-            f"digit {int(arr[i])} at position {i + 1} outside 0..{int(bases[i]) - 1}"
+            f"digit {int(digits[i])} at position {i + 1} outside 0..{int(bases[i]) - 1}"
         )
+
+
+def finite_digits(seq: BasicSequence, digits) -> DigitSequence:
+    """A finite, explicit digit list; reading past the end is an error."""
+    arr = np.asarray(list(digits), dtype=np.int64)
+    check_digit_range(arr, seq.bases(1, arr.size))
 
     def source(n: int) -> np.ndarray:
         if n > arr.size:

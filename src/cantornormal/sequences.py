@@ -20,6 +20,9 @@ from .errors import ArgumentError
 _FLOAT_EXACT_LIMIT = 2**53
 
 _LOG_BASE_VALUES = {"e": math.e, "2": 2.0, "10": 10.0}
+# largest c with b**c a finite float; floor_log compares v with the float
+# b**c, so for bases e and 10 it has no level past this one
+FLOAT_LEVEL_CAP = {"e": 709, "10": 308}
 
 
 def check_position(n: int) -> None:
@@ -48,8 +51,9 @@ def floor_log(v: int, log_base: str) -> int:
     # v is a small integer in practice; log(v) is never exactly an integer
     # for v >= 2 except at powers of the base, which the correction loop fixes.
     b = _LOG_BASE_VALUES[log_base]
-    c = int(math.log(v, b))
-    while b ** (c + 1) <= v:
+    cap = FLOAT_LEVEL_CAP[log_base]
+    c = min(int(math.log(v, b)), cap)
+    while c < cap and b ** (c + 1) <= v:
         c += 1
     while c > 0 and b**c > v:
         c -= 1
@@ -57,7 +61,8 @@ def floor_log(v: int, log_base: str) -> int:
 
 
 def level_start(c: int, log_base: str) -> int:
-    """Least positive integer v with floor_log(v, log_base) >= c, for c >= 0.
+    """Least positive integer v with floor_log(v, log_base) >= c, for c >= 0
+    (up to FLOAT_LEVEL_CAP for bases e and 10).
 
     floor_log(v) is the largest c with b**c <= v, comparing the float b**c
     with the int v exactly, so its levels start at ceil(b**c).

@@ -29,6 +29,7 @@ import numpy as np
 from .digitseq import DigitSequence, constructed_digits
 from .errors import ArgumentError, ScanBoundError
 from .sequences import (
+    FLOAT_LEVEL_CAP,
     BasicSequence,
     ConstantSequence,
     IndexLogSequence,
@@ -45,6 +46,9 @@ from .stats import admissible, admissible_blocks, expected_count
 log = logging.getLogger("cantornormal")
 
 DEFAULT_SCAN_LIMIT = 10**6
+# positions per array pass of Schedule.prefix: keeps its temporaries at a
+# few MB however long the prefix
+_PREFIX_CHUNK = 1 << 15
 
 
 class ClampCounter:
@@ -104,6 +108,7 @@ class UDSource:
             raise ArgumentError(f"unknown uniform driver {kind!r}; expected {self.KINDS}")
         self.kind = kind
         self._farey: list[Fraction] = [Fraction(0)]
+        self._farey_arrays = (np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64))
 
     def value(self, n: int) -> Fraction:
         check_position(n)
@@ -120,8 +125,53 @@ class UDSource:
             )
         return self._farey[n - 1]
 
+    def leads(self, n: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """floor(value(n) * q) for arrays of positions and bases, in int64."""
+        if self.kind == "vdc":
+            # value(n) = rev(n) / 2**bits(n), rev(n) being n's bits reversed
+            bits = np.searchsorted(np.int64(1) << np.arange(63, dtype=np.int64), n,
+                                   side="right").astype(np.int64)
+            top = int(bits.max())
+            _check_lead_width(top, q, "van der Corput")
+            rev = np.zeros_like(n)
+            for k in range(top):
+                rev = (rev << 1) | ((n >> k) & 1)
+            # rev holds each n reversed over `top` bits; drop the zeros above n's top bit
+            return ((rev >> (top - bits)) * q) >> bits
+        a, d = self._farey_terms(int(n.max()))
+        a, d = a[n - 1], d[n - 1]
+        _check_lead_width(int(d.max()).bit_length(), q, "farey")
+        return a * q // d
+
+    def _farey_terms(self, size: int) -> tuple[np.ndarray, np.ndarray]:
+        """Numerators and denominators of at least the first `size` farey
+        terms, built one denominator at a time; the table at least doubles
+        when it grows."""
+        num, den = self._farey_arrays
+        if num.size >= size:
+            return self._farey_arrays
+        parts_num, parts_den = [num], [den]
+        d, total = int(den[-1]), num.size
+        while total < max(size, 2 * num.size):
+            d += 1
+            a = np.arange(1, d, dtype=np.int64)
+            a = a[np.gcd(a, d) == 1]
+            parts_num.append(a)
+            parts_den.append(np.full(a.size, d, dtype=np.int64))
+            total += a.size
+        self._farey_arrays = (np.concatenate(parts_num), np.concatenate(parts_den))
+        return self._farey_arrays
+
     def to_json(self) -> dict:
         return {"kind": self.kind}
+
+
+def _check_lead_width(bits: int, q: np.ndarray, driver: str) -> None:
+    # a lead is a numerator below 2**bits times a base, formed in int64
+    if bits + int(q.max()).bit_length() > 63:
+        raise ArgumentError(
+            f"{driver} lead for bases up to {int(q.max())} does not fit an int64"
+        )
 
 
 def ud_source(kind: str, n: int) -> Fraction:
@@ -230,22 +280,23 @@ def _first_position_with_base_at_least(seq: BasicSequence, c: int) -> int:
             )
         return _nudge_to_minimal(seq, c, (1 << shift) - 4)
     if isinstance(seq, IndexLogSequence):
-        if seq.log_base == "2":
-            if c - 2 > _POSITION_BIT_CAP:
-                raise ScanBoundError("position search exceeds the bit cap")
-        elif c - 2 > 700:
-            raise ScanBoundError("position search exceeds the float range")
-        return _nudge_to_minimal(seq, c, level_start(c - 2, seq.log_base))
+        return _nudge_to_minimal(seq, c, _bounded_level_start(c - 2, seq.log_base))
     if isinstance(seq, PointwiseSequence):
         if seq.op == "half-of":
             return _first_position_with_base_at_least(seq.of, 2 * c)
-        if seq.log_base == "2":
-            if c > _POSITION_BIT_CAP:
-                raise ScanBoundError("position search exceeds the bit cap")
-        elif c > 700:
-            raise ScanBoundError("position search exceeds the float range")
-        return _first_position_with_base_at_least(seq.of, level_start(c, seq.log_base))
+        return _first_position_with_base_at_least(seq.of, _bounded_level_start(c, seq.log_base))
     raise ArgumentError(f"no closed-form position search for {seq.spec_string()}")
+
+
+def _bounded_level_start(c: int, log_base: str) -> int:
+    """level_start(c), refused past the bit cap (base 2) or past the last
+    level whose start b**c is a finite float (bases e and 10)."""
+    cap = _POSITION_BIT_CAP if log_base == "2" else FLOAT_LEVEL_CAP[log_base]
+    if c > cap:
+        raise ScanBoundError(
+            f"position search for level {c} in log base {log_base} exceeds level {cap}"
+        )
+    return level_start(c, log_base)
 
 
 def _nudge_to_minimal(seq: BasicSequence, c: int, t: int) -> int:
@@ -486,7 +537,37 @@ class Schedule:
         return d
 
     def prefix(self, count: int) -> np.ndarray:
-        return np.array([self.digit(n) for n in range(1, count + 1)], dtype=np.int64)
+        """Digits 1..count, equal to digit(n) for each n, built in array
+        chunks of _PREFIX_CHUNK positions."""
+        if count < 1:
+            return np.empty(0, dtype=np.int64)
+        levels = [0]
+        while levels[-1] <= count:
+            levels.append(self.level(len(levels)))
+        # the last level only has to lie past count; it may not fit an int64
+        # (level 2 is 2**256 - 4 on preset:iterated-log)
+        levels[-1] = count + 1
+        starts = np.array(levels, dtype=np.int64)
+        floors = np.array([0] + [ceil_log(i, self.log_base) for i in range(1, len(levels))],
+                          dtype=np.int64)
+        # segment i covers positions L(i) .. L(i) + i - 1 and reads donor digits 1..i
+        need = max([min(i, count - levels[i] + 1) for i in range(1, len(levels) - 1)],
+                   default=0)
+        donor = self.donor_digits.prefix(need)
+        out = np.empty(count, dtype=np.int64)
+        for lo in range(1, count + 1, _PREFIX_CHUNK):
+            hi = min(lo + _PREFIX_CHUNK - 1, count)
+            n = np.arange(lo, hi + 1, dtype=np.int64)
+            q = self.target.bases(lo, hi)
+            seg = np.searchsorted(starts, n, side="right") - 1
+            offset = n - starts[seg]
+            in_donor = (seg >= 1) & (offset < seg)
+            d = np.maximum(self.ud.leads(n, q), floors[seg])
+            d[in_donor] = donor[offset[in_donor]]
+            for i in np.flatnonzero(d > q - 1).tolist():
+                self.clamps.add(f"position {lo + i}")
+            out[lo - 1 : hi] = np.minimum(d, q - 1)
+        return out
 
 
 def build_patched_uniform(

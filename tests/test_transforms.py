@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cantornormal import (
     ArgumentError,
@@ -25,7 +25,13 @@ from cantornormal import (
     clip_chain,
     ud_source,
 )
-from cantornormal.transforms import ModulusOfDivergence, ModulusTable
+from cantornormal import ScanBoundError
+from cantornormal import transforms
+from cantornormal.transforms import (
+    ModulusOfDivergence,
+    ModulusTable,
+    _first_position_with_base_at_least,
+)
 
 
 # -- clip map ---------------------------------------------------------------
@@ -273,6 +279,32 @@ def test_modulus_of_divergence(log_preset, iterated_log):
         ModulusOfDivergence(ConstantSequence(5))
 
 
+def test_modulus_past_the_float_levels_is_a_scan_bound():
+    # e**6 > 400 asks for base-10 levels past 308, where 10.0**c overflows
+    for seq in (IndexLogSequence("10"),
+                PointwiseSequence(PresetSequence("log"), "log-of", "10")):
+        with pytest.raises(ScanBoundError):
+            ModulusOfDivergence(seq)(6)
+
+
+@pytest.mark.parametrize("log_base, last", [("10", 308), ("e", 709)])
+def test_position_search_at_the_last_float_level(log_base, last):
+    # index-log reaches base c at level c - 2: the last level whose start
+    # b**c is a finite float is found, the next one is refused
+    seq = IndexLogSequence(log_base)
+    t = _first_position_with_base_at_least(seq, last + 2)
+    assert seq.base_at(t) == last + 2 and seq.base_at(t - 1) == last + 1
+    with pytest.raises(ScanBoundError):
+        _first_position_with_base_at_least(seq, last + 3)
+    # log-of hands level `last` to the inner sequence, which refuses its own
+    # scale; level last + 1 is refused before any float overflows
+    pointwise = PointwiseSequence(PresetSequence("log"), "log-of", log_base)
+    with pytest.raises(ScanBoundError, match="preset:log"):
+        _first_position_with_base_at_least(pointwise, last)
+    with pytest.raises(ScanBoundError, match=f"level {last + 1} "):
+        _first_position_with_base_at_least(pointwise, last + 1)
+
+
 def test_modulus_table_spot_check(log_preset):
     good = ModulusTable(log_preset, {1: 4})
     assert good(1) == 4
@@ -292,6 +324,87 @@ def test_patched_stream_wiring(log_preset):
     assert x.describe()["op"] == "schedule-patch"
     with pytest.raises(ArgumentError):
         build_patched_uniform(ConstantSequence(3))
+
+
+class _FixedLevels(Schedule):
+    """A schedule with given levels: reaches segment indices and bases that
+    the real ladder only reaches astronomically far out."""
+
+    def __init__(self, target, levels, **kwargs):
+        super().__init__(target, **kwargs)
+        self.fixed = levels
+
+    def level(self, n):
+        return self.fixed[n]
+
+
+_PRESETS = [PresetSequence("log"), PresetSequence("iterated-log"), IndexLogSequence()]
+
+
+# caplog is cleared before each input's two runs
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    target=st.sampled_from(_PRESETS),
+    kind=st.sampled_from(UDSource.KINDS),
+    gaps=st.one_of(st.none(), st.lists(st.integers(1, 9), min_size=1, max_size=60)),
+    count=st.integers(0, 700),
+    chunk=st.integers(1, 300),
+)
+def test_schedule_prefix_matches_digit(caplog, target, kind, gaps, count, chunk):
+    # gaps None runs the real ladder; short gaps give segment indices whose
+    # digit floor ceil(log i) passes the base, which forces clamps
+    def make():
+        if gaps is None:
+            return Schedule(target, ud=UDSource(kind))
+        levels = [0]
+        for g in gaps:
+            levels.append(levels[-1] + g)
+        return _FixedLevels(target, levels + [2**300], ud=UDSource(kind))
+
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="cantornormal"), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transforms, "_PREFIX_CHUNK", chunk)
+        bulk = make()
+        got = bulk.prefix(count).tolist()
+        bulk_log = [r.getMessage() for r in caplog.records]
+        caplog.clear()
+        oracle = make()
+        want = [oracle.digit(n) for n in range(1, count + 1)]
+        oracle_log = [r.getMessage() for r in caplog.records]
+    assert got == want
+    assert bulk.clamps.events == oracle.clamps.events == len(oracle_log)
+    assert bulk_log == oracle_log
+
+
+def test_schedule_prefix_clamps_in_order(caplog):
+    # iterated-log bases are 2 below position 252: driver digits from
+    # segment 3 on (floor ceil(ln i) >= 2) and donor digits above 1 clamp
+    levels = [0] + list(range(5, 400, 5)) + [2**300]
+    with caplog.at_level("WARNING", logger="cantornormal"):
+        s = _FixedLevels(PresetSequence("iterated-log"), levels)
+        s.prefix(400)
+        bulk_log = [r.getMessage() for r in caplog.records]
+        caplog.clear()
+        oracle = _FixedLevels(PresetSequence("iterated-log"), levels)
+        [oracle.digit(n) for n in range(1, 401)]
+    assert s.clamps.events == oracle.clamps.events > 40
+    assert bulk_log == [r.getMessage() for r in caplog.records]
+    assert bulk_log[0] == "clamped digit at position 18"
+
+
+@pytest.mark.parametrize("kind, count, bits", [("vdc", 100, 7), ("farey", 100, 5)])
+def test_schedule_prefix_lead_width_edge(kind, count, bits):
+    # vdc leads are rev(n) * q with rev(n) < 2**bits(n); farey leads are
+    # a * q with a < d; both are formed in int64
+    levels = [0, 3, 9, 2**300]
+    q = 2 ** (63 - bits) - 1
+    s = _FixedLevels(ConstantSequence(q), levels, ud=UDSource(kind))
+    assert s.prefix(count).tolist() == [s.digit(n) for n in range(1, count + 1)]
+    wide = _FixedLevels(ConstantSequence(q + 1), levels, ud=UDSource(kind))
+    with pytest.raises(ArgumentError, match="does not fit an int64"):
+        wide.prefix(count)
+    assert wide.digit(count) >= 0  # the big-int oracle has no such limit
 
 
 def test_patched_stream_farey_driver(log_preset):
