@@ -12,6 +12,7 @@ from cantornormal import (
     PeriodicSequence,
     PointwiseSequence,
     PresetSequence,
+    ScanBoundError,
     Schedule,
     UDSource,
     build_orbit_sink,
@@ -25,7 +26,6 @@ from cantornormal import (
     clip_chain,
     ud_source,
 )
-from cantornormal import ScanBoundError
 from cantornormal import transforms
 from cantornormal.transforms import (
     ModulusOfDivergence,
