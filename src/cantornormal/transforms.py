@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from .digitseq import DigitSequence, constructed_digits
-from .errors import ArgumentError, ScanBoundError
+from .errors import ArgumentError, CantorSeriesError, ScanBoundError
 from .sequences import (
     FLOAT_LEVEL_CAP,
     BasicSequence,
@@ -542,8 +542,14 @@ class Schedule:
         if count < 1:
             return np.empty(0, dtype=np.int64)
         levels = [0]
-        while levels[-1] <= count:
-            levels.append(self.level(len(levels)))
+        try:
+            while levels[-1] <= count:
+                levels.append(self.level(len(levels)))
+        except CantorSeriesError:
+            # digit(n) needs level j only from position L(j - 1) on, so it
+            # has emitted, and reported the clamps of, every position before
+            self.prefix(levels[-1] - 1)
+            raise
         # the last level only has to lie past count; it may not fit an int64
         # (level 2 is 2**256 - 4 on preset:iterated-log)
         levels[-1] = count + 1

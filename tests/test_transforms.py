@@ -335,6 +335,8 @@ class _FixedLevels(Schedule):
         self.fixed = levels
 
     def level(self, n):
+        if n >= len(self.fixed):
+            raise ScanBoundError(f"no level {n}")
         return self.fixed[n]
 
 
@@ -391,6 +393,23 @@ def test_schedule_prefix_clamps_in_order(caplog):
     assert s.clamps.events == oracle.clamps.events > 40
     assert bulk_log == [r.getMessage() for r in caplog.records]
     assert bulk_log[0] == "clamped digit at position 18"
+
+
+def test_schedule_prefix_clamps_before_a_failing_level(caplog):
+    # level 40 cannot be computed; digit(n) first needs it at n = L(39) = 195
+    levels = [0] + list(range(5, 200, 5))
+    with caplog.at_level("WARNING", logger="cantornormal"):
+        s = _FixedLevels(PresetSequence("iterated-log"), levels)
+        with pytest.raises(ScanBoundError, match="no level 40"):
+            s.prefix(400)
+        bulk_log = [r.getMessage() for r in caplog.records]
+        caplog.clear()
+        oracle = _FixedLevels(PresetSequence("iterated-log"), levels)
+        with pytest.raises(ScanBoundError, match="no level 40"):
+            [oracle.digit(n) for n in range(1, 401)]
+    assert s.clamps.events == oracle.clamps.events > 20
+    assert bulk_log == [r.getMessage() for r in caplog.records]
+    assert bulk_log[-1] == "clamped digit at position 194"
 
 
 @pytest.mark.parametrize("kind, count, bits", [("vdc", 100, 7), ("farey", 100, 5)])
