@@ -25,7 +25,7 @@ from .errors import ArgumentError, CantorSeriesError
 from .generator import digit_at
 from .ladder import PartitionIndex
 from .orbit import orbit_discrepancy_report
-from .sequences import BasicSequence, parse_sequence_spec
+from .sequences import BasicSequence, parse_sequence_spec, read_text
 from .stats import (
     admissible_blocks,
     format_block,
@@ -70,19 +70,10 @@ def _build_target(name: str, seq: BasicSequence, args) -> DigitSequence:
     raise ArgumentError(f"unknown target {name!r}; expected one of {TARGETS}")
 
 
-def _read_text(path: Path) -> str:
-    try:
-        return path.read_text()
-    except OSError as exc:
-        raise ArgumentError(f"cannot read {path}: {exc.strerror}") from exc
-    except UnicodeDecodeError as exc:
-        raise ArgumentError(f"{path} is not UTF-8 text") from exc
-
-
 def _json_field(path: Path, key: str, kind: type):
     """The `key` entry of the JSON object in `path`, which must be a `kind`."""
     try:
-        value = json.loads(_read_text(path))[key]
+        value = json.loads(read_text(path))[key]
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise ArgumentError(f"{path}: expected a JSON object with key {key!r}") from exc
     if not isinstance(value, kind):
@@ -97,7 +88,7 @@ def _load_digit_file(seq: BasicSequence, path: Path) -> DigitSequence:
             raise ArgumentError(f"{path}: digits must be integers")
     else:
         digits = []
-        for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
+        for lineno, line in enumerate(read_text(path).splitlines(), start=1):
             line = line.strip()
             if not line:
                 continue
@@ -287,6 +278,8 @@ def _cmd_value(args) -> None:
 def _cmd_diagnose(args) -> None:
     seq = parse_sequence_spec(args.seq)
     cps = _parse_checkpoints(args.checkpoints)
+    if len({n for n in cps if n > 1}) < 2:
+        raise ArgumentError("a growth trend needs at least two checkpoints above 1")
     block = parse_block(args.block)
     diag = growth_diagnostic(seq, block, cps)
     if args.format == "json":

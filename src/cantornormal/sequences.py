@@ -9,20 +9,18 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ArgumentError
-
-# Bulk base evaluation goes through float64 exponent tricks; positions past
-# 2**53 would silently lose exactness.
-_FLOAT_EXACT_LIMIT = 2**53
+from .errors import ArgumentError, ScanBoundError
 
 _LOG_BASE_VALUES = {"e": math.e, "2": 2.0, "10": 10.0}
 # largest c with b**c a finite float; floor_log compares v with the float
 # b**c, so for bases e and 10 it has no level past this one
 FLOAT_LEVEL_CAP = {"e": 709, "10": 308}
+_POSITION_BIT_CAP = 10**7  # refuse positions that need more bits than this
 
 
 def check_position(n: int) -> None:
@@ -33,13 +31,6 @@ def check_position(n: int) -> None:
 def floor_log2(v: int) -> int:
     """Exact floor(log2(v)) for a positive integer."""
     return v.bit_length() - 1
-
-
-def _floor_log2_array(v: np.ndarray) -> np.ndarray:
-    if v.size and int(v.max()) >= _FLOAT_EXACT_LIMIT:
-        raise ArgumentError("bulk base evaluation past 2**53 is not supported")
-    _, e = np.frexp(v.astype(np.float64))
-    return (e - 1).astype(np.int64)
 
 
 def floor_log(v: int, log_base: str) -> int:
@@ -61,12 +52,18 @@ def floor_log(v: int, log_base: str) -> int:
 
 
 def level_start(c: int, log_base: str) -> int:
-    """Least positive integer v with floor_log(v, log_base) >= c, for c >= 0
-    (up to FLOAT_LEVEL_CAP for bases e and 10).
+    """Least positive integer v with floor_log(v, log_base) >= c, for c >= 0.
 
     floor_log(v) is the largest c with b**c <= v, comparing the float b**c
-    with the int v exactly, so its levels start at ceil(b**c).
+    with the int v exactly, so its levels start at ceil(b**c). Refused past
+    the bit cap (base 2) or past the last level whose start b**c is a
+    finite float (bases e and 10).
     """
+    cap = _POSITION_BIT_CAP if log_base == "2" else FLOAT_LEVEL_CAP[log_base]
+    if c > cap:
+        raise ScanBoundError(
+            f"position search for level {c} in log base {log_base} exceeds level {cap}"
+        )
     if log_base == "2":
         return 1 << c
     return math.ceil(_LOG_BASE_VALUES[log_base] ** c)
@@ -101,6 +98,32 @@ def ceil_log(v: int, log_base: str) -> int:
     return f if b**f == v else f + 1
 
 
+def read_text(path: Path) -> str:
+    """The text of a UTF-8 file; an unreadable file is an ArgumentError."""
+    try:
+        return path.read_text()
+    except OSError as exc:
+        raise ArgumentError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ArgumentError(f"{path} is not UTF-8 text") from exc
+
+
+def _check_bases(values) -> list[int]:
+    """values as a list of ints, refusing non-integers and bases below 2."""
+    try:
+        bases = [operator.index(b) for b in values]
+    except TypeError as exc:
+        raise ArgumentError(f"bases must be integers, got {values!r}") from exc
+    if any(b < 2 for b in bases):
+        raise ArgumentError(f"bases must be >= 2, got {bases}")
+    return bases
+
+
+def _check_log_base(log_base) -> None:
+    if not isinstance(log_base, str) or log_base not in _LOG_BASE_VALUES:
+        raise ArgumentError(f"log base must be one of {sorted(_LOG_BASE_VALUES)}")
+
+
 class BasicSequence:
     """A deterministic sequence of integer bases, each at least 2."""
 
@@ -115,12 +138,26 @@ class BasicSequence:
     def base_at(self, n: int) -> int:
         raise NotImplementedError
 
+    def first_position(self, c: int) -> int:
+        """Least position t with base_at(t) >= c; nondecreasing kinds give
+        it in closed form."""
+        raise ArgumentError(f"no closed-form position search for {self.spec_string()}")
+
     def bases(self, lo: int, hi: int) -> np.ndarray:
-        """Bases at positions lo..hi inclusive, as int64."""
+        """Bases at positions lo..hi inclusive, as int64: one run per base
+        value, each run starting at that value's first_position. Kinds that
+        are not nondecreasing override this."""
         check_position(lo)
         if hi < lo:
             return np.empty(0, dtype=np.int64)
-        return np.array([self.base_at(n) for n in range(lo, hi + 1)], dtype=np.int64)
+        first, last = self.base_at(lo), self.base_at(hi)
+        starts = [lo] + [self.first_position(c) for c in range(first + 1, last + 1)] + [hi + 1]
+        return np.repeat(np.arange(first, last + 1, dtype=np.int64),
+                         [b - a for a, b in zip(starts, starts[1:])])
+
+    def eventual_period(self) -> tuple[int, int] | None:
+        """(offset, period) from which the bases repeat, for bounded kinds."""
+        return None
 
     def running_max(self, n: int) -> int:
         """Largest base among the first n positions."""
@@ -150,17 +187,19 @@ class ConstantSequence(BasicSequence):
     nondecreasing = True
 
     def __init__(self, b: int):
-        if b < 2:
-            raise ArgumentError(f"bases must be >= 2, got {b}")
-        self.b = int(b)
+        (self.b,) = _check_bases([b])
 
     def base_at(self, n: int) -> int:
         check_position(n)
         return self.b
 
-    def bases(self, lo: int, hi: int) -> np.ndarray:
-        check_position(lo)
-        return np.full(max(hi - lo + 1, 0), self.b, dtype=np.int64)
+    def first_position(self, c: int) -> int:
+        if c > self.b:
+            raise ArgumentError(f"{self.spec_string()} never reaches base {c}")
+        return 1
+
+    def eventual_period(self) -> tuple[int, int]:
+        return 0, 1
 
     def to_json(self) -> dict:
         return {"kind": "constant", "b": self.b}
@@ -173,11 +212,9 @@ class PeriodicSequence(BasicSequence):
     kind = "periodic"
 
     def __init__(self, pattern):
-        pattern = [int(b) for b in pattern]
+        pattern = _check_bases(pattern)
         if not pattern:
             raise ArgumentError("periodic sequence needs at least one base")
-        if any(b < 2 for b in pattern):
-            raise ArgumentError(f"bases must be >= 2, got {pattern}")
         self.pattern = pattern
         self._prefix_max = list(np.maximum.accumulate(pattern))
 
@@ -196,6 +233,9 @@ class PeriodicSequence(BasicSequence):
         check_position(n)
         return self._prefix_max[min(n, len(self.pattern)) - 1]
 
+    def eventual_period(self) -> tuple[int, int]:
+        return 0, len(self.pattern)
+
     def to_json(self) -> dict:
         return {"kind": "periodic", "bases": self.pattern}
 
@@ -209,11 +249,9 @@ class TableSequence(BasicSequence):
     kind = "table"
 
     def __init__(self, table, extend: str = "repeat-last"):
-        table = [int(b) for b in table]
+        table = _check_bases(table)
         if not table:
             raise ArgumentError("table sequence needs at least one base")
-        if any(b < 2 for b in table):
-            raise ArgumentError(f"bases must be >= 2, got {table}")
         if extend != "repeat-last":
             raise ArgumentError(f"unknown table extension rule {extend!r}")
         self.table = table
@@ -239,6 +277,9 @@ class TableSequence(BasicSequence):
     def running_max(self, n: int) -> int:
         check_position(n)
         return self._prefix_max[min(n, len(self.table)) - 1]
+
+    def eventual_period(self) -> tuple[int, int]:
+        return len(self.table), 1
 
     def to_json(self) -> dict:
         return {"kind": "table", "bases": self.table, "extend": self.extend}
@@ -272,14 +313,18 @@ class PresetSequence(BasicSequence):
             v = floor_log2(max(v, 1))
         return max(2, v)
 
-    def bases(self, lo: int, hi: int) -> np.ndarray:
-        check_position(lo)
-        if hi < lo:
-            return np.empty(0, dtype=np.int64)
-        v = _floor_log2_array(np.arange(lo + 4, hi + 5, dtype=np.int64))
-        if self.name == "iterated-log":
-            v = _floor_log2_array(np.maximum(v, 1))
-        return np.maximum(v, 2)
+    def first_position(self, c: int) -> int:
+        if c <= 2:
+            return 1
+        # floor(log2(t+4)) >= c from t = 2**c - 4; iterated-log needs
+        # floor(log2(t+4)) >= 2**c
+        bits = c if self.name == "log" else 1 << min(c, 64)
+        if bits > _POSITION_BIT_CAP:
+            raise ScanBoundError(
+                f"position where {self.spec_string()} reaches base {c} is not "
+                "representable at desk scale"
+            )
+        return (1 << bits) - 4
 
     def to_json(self) -> dict:
         return {"kind": "preset", "name": self.name}
@@ -296,19 +341,15 @@ class IndexLogSequence(BasicSequence):
     infinite_in_limit = True
 
     def __init__(self, log_base: str = "e"):
-        if log_base not in _LOG_BASE_VALUES:
-            raise ArgumentError(f"log base must be one of {sorted(_LOG_BASE_VALUES)}")
+        _check_log_base(log_base)
         self.log_base = log_base
 
     def base_at(self, n: int) -> int:
         check_position(n)
         return floor_log(n, self.log_base) + 2
 
-    def bases(self, lo: int, hi: int) -> np.ndarray:
-        check_position(lo)
-        if hi < lo:
-            return np.empty(0, dtype=np.int64)
-        return floor_log_array(np.arange(lo, hi + 1, dtype=np.int64), self.log_base) + 2
+    def first_position(self, c: int) -> int:
+        return 1 if c <= 2 else level_start(c - 2, self.log_base)
 
     def to_json(self) -> dict:
         return {"kind": "preset", "name": "index-log", "log_base": self.log_base}
@@ -335,8 +376,7 @@ class PointwiseSequence(BasicSequence):
     def __init__(self, of: BasicSequence, op: str, log_base: str = "e"):
         if op not in self._OPS:
             raise ArgumentError(f"unknown pointwise op {op!r}")
-        if log_base not in _LOG_BASE_VALUES:
-            raise ArgumentError(f"log base must be one of {sorted(_LOG_BASE_VALUES)}")
+        _check_log_base(log_base)
         self.of = of
         self.op = op
         self.log_base = log_base
@@ -351,7 +391,16 @@ class PointwiseSequence(BasicSequence):
     def base_at(self, n: int) -> int:
         return self._apply(self.of.base_at(n))
 
+    def first_position(self, c: int) -> int:
+        if c <= 2:
+            return 1
+        if self.op == "half-of":
+            return self.of.first_position(2 * c)
+        return self.of.first_position(level_start(c, self.log_base))
+
     def bases(self, lo: int, hi: int) -> np.ndarray:
+        if self.nondecreasing:
+            return super().bases(lo, hi)
         inner = self.of.bases(lo, hi)
         if self.op == "half-of":
             return np.maximum(inner // 2, 2)
@@ -359,6 +408,9 @@ class PointwiseSequence(BasicSequence):
 
     def running_max(self, n: int) -> int:
         return self._apply(self.of.running_max(n))
+
+    def eventual_period(self) -> tuple[int, int] | None:
+        return self.of.eventual_period()
 
     def to_json(self) -> dict:
         return {
@@ -374,20 +426,23 @@ def sequence_from_json(obj: dict) -> BasicSequence:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ArgumentError(f"not a sequence description: {obj!r}")
     kind = obj["kind"]
-    if kind == "constant":
-        return ConstantSequence(obj["b"])
-    if kind == "periodic":
-        return PeriodicSequence(obj["bases"])
-    if kind == "table":
-        return TableSequence(obj["bases"], obj.get("extend", "repeat-last"))
-    if kind == "preset":
-        if obj["name"] == "index-log":
-            return IndexLogSequence(obj.get("log_base", "e"))
-        return PresetSequence(obj["name"])
-    if kind == "pointwise":
-        return PointwiseSequence(
-            sequence_from_json(obj["of"]), obj["op"], obj.get("log_base", "e")
-        )
+    try:
+        if kind == "constant":
+            return ConstantSequence(obj["b"])
+        if kind == "periodic":
+            return PeriodicSequence(obj["bases"])
+        if kind == "table":
+            return TableSequence(obj["bases"], obj.get("extend", "repeat-last"))
+        if kind == "preset":
+            if obj["name"] == "index-log":
+                return IndexLogSequence(obj.get("log_base", "e"))
+            return PresetSequence(obj["name"])
+        if kind == "pointwise":
+            return PointwiseSequence(
+                sequence_from_json(obj["of"]), obj["op"], obj.get("log_base", "e")
+            )
+    except KeyError as exc:
+        raise ArgumentError(f"{kind} sequence description lacks the key {exc}") from exc
     raise ArgumentError(f"unknown sequence kind {kind!r}")
 
 
@@ -414,10 +469,7 @@ def parse_sequence_spec(spec: str) -> BasicSequence:
             return IndexLogSequence()
         return PresetSequence(rest)
     if head == "file":
-        path = Path(rest)
-        if not path.exists():
-            raise ArgumentError(f"sequence file not found: {path}")
-        text = path.read_text()
+        text = read_text(Path(rest))
     elif head == "json":
         text = rest
     else:

@@ -306,8 +306,9 @@ class GrowthDiagnostic:
 
     @property
     def increasing(self) -> bool:
+        """Strictly increasing over at least two rows."""
         values = [r.value for r in self.rows]
-        return all(b > a for a, b in zip(values, values[1:]))
+        return len(values) >= 2 and all(b > a for a, b in zip(values, values[1:]))
 
 
 def growth_diagnostic(seq: BasicSequence, block, checkpoints) -> GrowthDiagnostic:

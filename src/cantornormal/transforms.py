@@ -29,17 +29,11 @@ import numpy as np
 from .digitseq import DigitSequence, constructed_digits
 from .errors import ArgumentError, CantorSeriesError, ScanBoundError
 from .sequences import (
-    FLOAT_LEVEL_CAP,
     BasicSequence,
-    ConstantSequence,
     IndexLogSequence,
-    PeriodicSequence,
     PointwiseSequence,
-    PresetSequence,
-    TableSequence,
     ceil_log,
     check_position,
-    level_start,
 )
 from .stats import admissible, admissible_blocks, expected_count
 
@@ -215,8 +209,9 @@ def build_half_range(Q: BasicSequence, *, log_base: str = "e") -> DigitSequence:
 
 class ModulusOfDivergence:
     """For a threshold n, the least position t with log(q_j) > n for all
-    j >= t. Derivable in closed form for the nondecreasing presets; other
-    sequences must supply their own table."""
+    j >= t. Read from the sequence's closed-form first_position, so only
+    nondecreasing unbounded sequences derive one; others must supply
+    their own table."""
 
     def __init__(self, seq: BasicSequence):
         if not (seq.infinite_in_limit and seq.nondecreasing):
@@ -232,7 +227,7 @@ class ModulusOfDivergence:
         if n > 700:
             raise ScanBoundError("divergence modulus capped at threshold 700")
         c = math.floor(math.exp(n)) + 1  # least integer base with log(base) > n
-        t = _first_position_with_base_at_least(self.seq, c)
+        t = self.seq.first_position(c)
         _verify_modulus(self.seq, n, t)
         return t
 
@@ -262,74 +257,15 @@ def _verify_modulus(seq: BasicSequence, n: int, t: int) -> None:
         raise ArgumentError(f"divergence modulus {t} is not minimal for threshold {n}")
 
 
-_POSITION_BIT_CAP = 10**7  # refuse positions that need more bits than this
-
-
-def _first_position_with_base_at_least(seq: BasicSequence, c: int) -> int:
-    """Least position t with base_at(t) >= c, for nondecreasing sequences."""
-    if seq.base_at(1) >= c:
-        return 1
-    if isinstance(seq, PresetSequence):
-        # floor(log2(t+4)) >= c at t = 2**c - 4; iterate once more for the
-        # doubly-logarithmic preset
-        shift = c if seq.name == "log" else (1 << c) if c < 64 else None
-        if shift is None or shift > _POSITION_BIT_CAP:
-            raise ScanBoundError(
-                f"position where {seq.spec_string()} reaches base {c} is not "
-                "representable at desk scale"
-            )
-        return _nudge_to_minimal(seq, c, (1 << shift) - 4)
-    if isinstance(seq, IndexLogSequence):
-        return _nudge_to_minimal(seq, c, _bounded_level_start(c - 2, seq.log_base))
-    if isinstance(seq, PointwiseSequence):
-        if seq.op == "half-of":
-            return _first_position_with_base_at_least(seq.of, 2 * c)
-        return _first_position_with_base_at_least(seq.of, _bounded_level_start(c, seq.log_base))
-    raise ArgumentError(f"no closed-form position search for {seq.spec_string()}")
-
-
-def _bounded_level_start(c: int, log_base: str) -> int:
-    """level_start(c), refused past the bit cap (base 2) or past the last
-    level whose start b**c is a finite float (bases e and 10)."""
-    cap = _POSITION_BIT_CAP if log_base == "2" else FLOAT_LEVEL_CAP[log_base]
-    if c > cap:
-        raise ScanBoundError(
-            f"position search for level {c} in log base {log_base} exceeds level {cap}"
-        )
-    return level_start(c, log_base)
-
-
-def _nudge_to_minimal(seq: BasicSequence, c: int, t: int) -> int:
-    t = max(t, 1)
-    while t > 1 and seq.base_at(t - 1) >= c:
-        t -= 1
-    while seq.base_at(t) < c:
-        t += 1
-    return t
-
-
 # ---------------------------------------------------------------------------
 # the threshold schedule and the patched uniform stream
 # ---------------------------------------------------------------------------
-
-def _eventual_period(seq: BasicSequence) -> tuple[int, int] | None:
-    """(offset, period) from which admissibility repeats, for bounded kinds."""
-    if isinstance(seq, ConstantSequence):
-        return 0, 1
-    if isinstance(seq, PeriodicSequence):
-        return 0, len(seq.pattern)
-    if isinstance(seq, TableSequence):
-        return len(seq.table), 1
-    if isinstance(seq, PointwiseSequence):
-        return _eventual_period(seq.of)
-    return None
-
 
 def donor_divergent(donor: BasicSequence, block) -> bool:
     """Whether the donor's expected count of `block` grows without bound."""
     if donor.infinite_in_limit:
         return True  # every fixed block is eventually admissible everywhere
-    ev = _eventual_period(donor)
+    ev = donor.eventual_period()
     if ev is None:
         raise ArgumentError(
             f"cannot decide expected-count divergence for {donor.spec_string()}"

@@ -156,15 +156,21 @@ def test_argument_error_exit_code(capsys):
 BAD_MOD_DIV_FILES = ["{bad", "{}", "[]", '{"entries": 5}', '{"entries": {"1": "x"}}']
 BAD_DIGIT_JSON_FILES = ["{bad", "{}", "[1,0]", '{"digits": 5}', '{"digits": ["a"]}',
                         '{"digits": [5]}']
+BAD_SEQ_JSON = ['{"kind":"constant"}', '{"kind":"preset"}', '{"kind":"pointwise","op":"log-of"}',
+                '{"kind":"constant","b":"x"}', '{"kind":"periodic","bases":5}',
+                '{"kind":"constant","b":2.5}', '{"kind":"periodic","bases":[3,2.5]}',
+                '{"kind":"preset","name":"index-log","log_base":[10]}']
 
 
 @pytest.mark.parametrize(
     "case",
     ["bad-json-seq", "bad-json-seq-file", "missing-mod-div", "non-integer-digit",
      "digit-file-is-dir", "all-blocks-too-long", "all-blocks-too-many",
-     "negative-oracle-check"]
+     "negative-oracle-check", "seq-file-is-dir", "seq-file-not-utf8",
+     "diagnose-one-checkpoint", "diagnose-one-checkpoint-above-1"]
     + [f"mod-div {text}" for text in BAD_MOD_DIV_FILES]
-    + [f"digit-json {text}" for text in BAD_DIGIT_JSON_FILES],
+    + [f"digit-json {text}" for text in BAD_DIGIT_JSON_FILES]
+    + [f"json-seq {text}" for text in BAD_SEQ_JSON],
 )
 def test_bad_input_exits_2(capsys, tmp_path, case):
     kind, _, text = case.partition(" ")
@@ -172,6 +178,8 @@ def test_bad_input_exits_2(capsys, tmp_path, case):
     digit_file.write_text("1,0\n2,x\n")
     seq_file = tmp_path / "seq.json"
     seq_file.write_text("{bad")
+    latin1_file = tmp_path / "latin1.json"
+    latin1_file.write_bytes('{"kind": "preset", "name": "log\xe9"}'.encode("latin-1"))
     data_file = tmp_path / "data.json"
     data_file.write_text(text)
     argv = {
@@ -196,6 +204,14 @@ def test_bad_input_exits_2(capsys, tmp_path, case):
                     "--mod-div", f"file:{data_file}", "--count", "4"),
         "digit-json": ("stats", "--seq", "constant:2", "--source", f"file:{data_file}",
                        "--blocks", "0", "--checkpoints", "1"),
+        "seq-file-is-dir": ("digits", "--seq", f"file:{tmp_path}", "--count", "4"),
+        "seq-file-not-utf8": ("digits", "--seq", f"file:{latin1_file}", "--count", "4"),
+        "json-seq": ("digits", "--seq", f"json:{text}", "--count", "4"),
+        # no trend can be read from fewer than two rows
+        "diagnose-one-checkpoint": ("diagnose", "--seq", "constant:2", "--block", "0",
+                                    "--checkpoints", "1"),
+        "diagnose-one-checkpoint-above-1": ("diagnose", "--seq", "constant:2", "--block", "0",
+                                            "--checkpoints", "1,100,100"),
     }[kind]
     code, _, err = run_cli(capsys, *argv)
     assert code == 2

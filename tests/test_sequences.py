@@ -11,6 +11,7 @@ from cantornormal import (
     PeriodicSequence,
     PointwiseSequence,
     PresetSequence,
+    ScanBoundError,
     TableSequence,
     parse_sequence_spec,
     sequence_from_json,
@@ -174,3 +175,36 @@ def test_log_bases_match_base_at_across_level_starts(log_base):
         P = PointwiseSequence(Q, "log-of", log_base)
         lo, hi = 1, len(table) + 300
         assert P.bases(lo, hi).tolist() == [P.base_at(n) for n in range(lo, hi + 1)]
+
+
+INT64_MAX = 2**63 - 1
+_GROWING = [PresetSequence("log"), PresetSequence("iterated-log")] + [
+    IndexLogSequence(b) for b in ("e", "2", "10")]
+NONDECREASING = [ConstantSequence(2), ConstantSequence(9), *_GROWING] + [
+    PointwiseSequence(Q, op, b) for Q in _GROWING
+    for op, b in (("half-of", "e"), ("log-of", "e"), ("log-of", "2"), ("log-of", "10"))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(NONDECREASING), st.data())
+def test_first_position_and_run_length_bases(seq, data):
+    # every base reached within int64 has a minimal first position
+    top = seq.base_at(INT64_MAX)
+    starts = []
+    for c in range(top + 1):
+        t = seq.first_position(c)
+        assert seq.base_at(t) >= c and (t == 1 or seq.base_at(t - 1) < c), (c, t)
+        starts.append(t)
+    try:
+        beyond = seq.first_position(top + 1)
+    except (ArgumentError, ScanBoundError):
+        beyond = INT64_MAX + 1  # refused: never reached, or not at desk scale
+    assert beyond > INT64_MAX
+    # run-length bases equal base_at on ranges near a level start, anywhere
+    # below 2**62, or past 2**53
+    near = st.builds(lambda t, d: min(max(1, t + d), INT64_MAX), st.sampled_from(starts),
+                     st.integers(-1500, 1500))
+    lo = data.draw(st.one_of(near, st.integers(1, 2**62), st.integers(2**53, 2**53 + 10**6),
+                             st.integers(1, 5000)))
+    hi = min(lo + data.draw(st.integers(-1, 3000)), INT64_MAX)
+    assert seq.bases(lo, hi).tolist() == [seq.base_at(n) for n in range(lo, hi + 1)]

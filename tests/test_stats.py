@@ -214,4 +214,7 @@ def test_growth_diagnostic_examples(c2, p23):
     assert growth_diagnostic(c2, [0, 0], [100, 1000]).increasing
     assert growth_diagnostic(p23, [2], [100, 1000]).increasing
     assert growth_diagnostic(c2, [0], [1, 100]).rows[0].n == 100  # n=1 skipped
+    # one row, or none, is no trend
+    assert not growth_diagnostic(c2, [0], [1, 100]).increasing
+    assert not growth_diagnostic(c2, [0], [1]).increasing
     assert diag.label == "heuristic"

@@ -27,11 +27,7 @@ from cantornormal import (
     ud_source,
 )
 from cantornormal import transforms
-from cantornormal.transforms import (
-    ModulusOfDivergence,
-    ModulusTable,
-    _first_position_with_base_at_least,
-)
+from cantornormal.transforms import ModulusOfDivergence, ModulusTable
 
 
 # -- clip map ---------------------------------------------------------------
@@ -292,17 +288,17 @@ def test_position_search_at_the_last_float_level(log_base, last):
     # index-log reaches base c at level c - 2: the last level whose start
     # b**c is a finite float is found, the next one is refused
     seq = IndexLogSequence(log_base)
-    t = _first_position_with_base_at_least(seq, last + 2)
+    t = seq.first_position(last + 2)
     assert seq.base_at(t) == last + 2 and seq.base_at(t - 1) == last + 1
     with pytest.raises(ScanBoundError):
-        _first_position_with_base_at_least(seq, last + 3)
+        seq.first_position(last + 3)
     # log-of hands level `last` to the inner sequence, which refuses its own
     # scale; level last + 1 is refused before any float overflows
     pointwise = PointwiseSequence(PresetSequence("log"), "log-of", log_base)
     with pytest.raises(ScanBoundError, match="preset:log"):
-        _first_position_with_base_at_least(pointwise, last)
+        pointwise.first_position(last)
     with pytest.raises(ScanBoundError, match=f"level {last + 1} "):
-        _first_position_with_base_at_least(pointwise, last + 1)
+        pointwise.first_position(last + 1)
 
 
 def test_modulus_table_spot_check(log_preset):
