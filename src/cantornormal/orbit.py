@@ -23,6 +23,10 @@ from .kernels import orbit_numbers
 from .ladder import PartitionIndex
 from .sequences import BasicSequence
 
+# orbit indices per block of orbit_values: keeps the kernel's per-step
+# temporaries at a few MB however many points are asked for
+_ORBIT_CHUNK = 1 << 16
+
 __all__ = [
     "OrbitPoint",
     "truncation_depth",
@@ -93,19 +97,34 @@ def orbit_values(
         return np.empty(0), np.empty(0)
     pi = index or PartitionIndex(seq)
     if depth is None:
-        boundaries = np.asarray(pi.boundaries_through(count), dtype=np.int64)
-        # region lookup for every m at once; m = 0 shares region 1's depth
-        r_per_m = np.searchsorted(boundaries[1:], np.arange(count), side="left") + 1
-        depths = np.sqrt(r_per_m.astype(np.float64)).astype(np.int64)
+        boundaries = np.asarray(pi.boundaries_through(count), dtype=np.int64)[1:]
+
+        def depths_of(lo: int, hi: int) -> np.ndarray:
+            # region lookup for every m at once; m = 0 shares region 1's depth
+            r_per_m = np.searchsorted(boundaries, np.arange(lo, hi), side="left") + 1
+            return np.sqrt(r_per_m.astype(np.float64)).astype(np.int64)
     else:
         if depth < 1:
             raise ArgumentError(f"truncation depth must be >= 1, got {depth}")
-        depths = np.full(count, int(depth), dtype=np.int64)
-    need = int((np.arange(count) + depths).max())
+
+        def depths_of(lo: int, hi: int) -> np.ndarray:
+            return np.full(hi - lo, int(depth), dtype=np.int64)
+
+    # depths never decrease with m, so the last index reads furthest
+    need = count - 1 + int(depths_of(count - 1, count)[0])
     digits = E.prefix(need) if isinstance(E, DigitSequence) else np.asarray(E, dtype=np.int64)
-    bases = seq.bases(1, need)
-    num, den = orbit_numbers(digits, bases, depths)
-    return num / den, 1.0 / den
+    if digits.size < need:
+        raise ArgumentError(f"orbit evaluation needs {need} digits/bases")
+    values = np.empty(count)
+    eps = np.empty(count)
+    for lo in range(0, count, _ORBIT_CHUNK):
+        hi = min(lo + _ORBIT_CHUNK, count)
+        depths = depths_of(lo, hi)
+        top = hi - 1 + int(depths[-1])
+        num, den = orbit_numbers(digits[lo:top], seq.bases(lo + 1, top), depths)
+        np.divide(num, den, out=values[lo:hi])
+        np.divide(1.0, den, out=eps[lo:hi])
+    return values, eps
 
 
 def orbit_exact_finite(seq: BasicSequence, x, m: int) -> Fraction:
@@ -140,6 +159,24 @@ def _exact_values(values) -> list[Fraction] | None:
     return None
 
 
+def _sorted_sample_discrepancies(values) -> tuple[float, float]:
+    """Star and extreme discrepancy of a float sample from one sort.
+
+    With d_i = i/N - x_(i) over the sorted sample, the star discrepancy is
+    max(max d_i, 1/N - min d_i) and the extreme one 1/N + max d_i - min d_i.
+    """
+    xs = np.sort(np.asarray(values, dtype=np.float64))
+    n = xs.size
+    if n < 1:
+        raise ArgumentError("discrepancy needs at least one sample")
+    _check_unit(xs)
+    diffs = np.arange(1, n + 1, dtype=np.float64)
+    diffs /= n
+    diffs -= xs
+    low, high = diffs.min(), diffs.max()
+    return float(max(high, 1.0 / n - low)), float(1.0 / n + high - low)
+
+
 def star_discrepancy(values):
     """Exact star discrepancy via the sorted-points formula.
 
@@ -154,13 +191,7 @@ def star_discrepancy(values):
             max(Fraction(i, n) - x, x - Fraction(i - 1, n))
             for i, x in enumerate(xs, start=1)
         )
-    xs = np.sort(np.asarray(values, dtype=np.float64))
-    n = xs.size
-    if n < 1:
-        raise ArgumentError("discrepancy needs at least one sample")
-    _check_unit(xs)
-    grid = np.arange(1, n + 1, dtype=np.float64) / n
-    return float(max((grid - xs).max(), (xs - grid + 1.0 / n).max()))
+    return _sorted_sample_discrepancies(values)[0]
 
 
 def extreme_discrepancy(values):
@@ -173,13 +204,7 @@ def extreme_discrepancy(values):
         xs = sorted(exact)
         diffs = [Fraction(i, n) - x for i, x in enumerate(xs, start=1)]
         return Fraction(1, n) + max(diffs) - min(diffs)
-    xs = np.sort(np.asarray(values, dtype=np.float64))
-    n = xs.size
-    if n < 1:
-        raise ArgumentError("discrepancy needs at least one sample")
-    _check_unit(xs)
-    diffs = np.arange(1, n + 1, dtype=np.float64) / n - xs
-    return float(1.0 / n + diffs.max() - diffs.min())
+    return _sorted_sample_discrepancies(values)[1]
 
 
 def _check_unit(values) -> None:
@@ -235,12 +260,7 @@ def orbit_discrepancy_report(
     pi = index or PartitionIndex(seq)
     values, eps = orbit_values(seq, E, max(cps), depth=depth, index=pi)
     rows = [
-        DiscrepancyRow(
-            n,
-            star_discrepancy(values[:n]),
-            extreme_discrepancy(values[:n]),
-            float(eps[:n].max()),
-        )
+        DiscrepancyRow(n, *_sorted_sample_discrepancies(values[:n]), float(eps[:n].max()))
         for n in cps
     ]
     return DiscrepancyReport("default" if depth is None else f"fixed:{depth}", rows)

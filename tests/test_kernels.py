@@ -37,15 +37,16 @@ def _match_mask_reference(digits, block, n):
 
 
 def _orbit_numbers_reference(digits, bases, depths):
-    num = np.empty(depths.size, dtype=np.int64)
-    den = np.empty(depths.size, dtype=np.int64)
+    """Numerators and denominators as Python ints, which never wrap."""
+    num, den = [], []
     for m, depth in enumerate(depths):
         a, d = 0, 1
         for i in range(depth):
             q = int(bases[m + i])
             a = a * q + int(digits[m + i])
             d *= q
-        num[m], den[m] = a, d
+        num.append(a)
+        den.append(d)
     return num, den
 
 
@@ -68,6 +69,28 @@ def test_region_digits_numpy_reference_loop():
     bases = rng.integers(2, 6, size=r * 500).astype(np.int64)
     got, want = region_digits(bases, r), _region_digits_reference(bases, r)
     assert got[0].tolist() == want[0].tolist() and got[1] == want[1]
+
+
+def test_region_digits_at_widest_key():
+    # keys pack r bases below beta into r * bit_length(beta) <= 61 bits
+    rng = np.random.default_rng(5)
+    top = 2**61 - 2  # beta = 2**61 - 1, 61 bits: the widest one-base key
+    narrow = np.array([top, 5, top, top - 1, 5, top, 2], dtype=np.int64)
+    pool = rng.integers(2, 7, size=(3, 20))  # beta = 7, 20 * 3 = 60 bits
+    pool[0, 0] = 6
+    wide = pool[rng.integers(0, 3, size=60)].reshape(-1).astype(np.int64)
+    assert int(wide.max()) == 6
+    for bases, r in ((narrow, 1), (wide, 20)):
+        got, want = region_digits(bases, r), _region_digits_reference(bases, r)
+        assert got[0].tolist() == want[0].tolist() and got[1] == want[1]
+    # one more bit of key refuses the batch
+    for bases, r in (
+        (np.append(narrow, top + 1), 1),  # beta = 2**61: 62 bits
+        (wide[: 21 * 57], 21),  # 21 * 3 = 63 bits
+        (np.where(wide == 6, 7, wide), 20),  # beta = 8: 20 * 4 = 80 bits
+    ):
+        with pytest.raises(ArgumentError, match="int64 key"):
+            region_digits(bases, r)
 
 
 def test_region_digits_key_width_guard():
@@ -100,7 +123,7 @@ def test_orbit_numbers_matches_reference_loop():
     assert (depths == 0).any() and (np.diff(depths) < 0).any()
     got = orbit_numbers(digits, bases, depths)
     want = _orbit_numbers_reference(digits, bases, depths)
-    assert (got[0] == want[0]).all() and (got[1] == want[1]).all()
+    assert got[0].tolist() == want[0] and got[1].tolist() == want[1]
 
 
 def test_orbit_numbers_exact_small():
@@ -116,3 +139,26 @@ def test_orbit_numbers_depth_guard():
     digits = np.zeros(100, dtype=np.int64)
     with pytest.raises(ArgumentError):
         orbit_numbers(digits, bases, np.array([30], dtype=np.int64))
+
+
+@pytest.mark.parametrize(
+    "pattern, widest",
+    [
+        ([2], 61),  # 61 bits
+        ([3], 38),  # 38 * log2(3) = 60.2 bits; 39 steps take 61.8
+        ([2, 3, 5, 7], 31),  # 58.9 bits; one more base 7 takes 61.7
+    ],
+)
+def test_orbit_numbers_at_widest_depth(pattern, widest):
+    size = 3 * widest
+    bases = np.resize(np.asarray(pattern, dtype=np.int64), size)
+    rng = np.random.default_rng(widest)
+    # from every start of the mixed pattern, too, `widest` steps stay within 61.5 bits
+    depths = np.full(size - widest, widest, dtype=np.int64)
+    for digits in (bases - 1, rng.integers(0, bases)):
+        got = orbit_numbers(digits, bases, depths)
+        want = _orbit_numbers_reference(digits, bases, depths)
+        assert got[0].tolist() == want[0] and got[1].tolist() == want[1]
+    assert int(got[1][0]) == int(np.prod(bases[:widest].astype(object)))
+    with pytest.raises(ArgumentError, match="int64 denominators"):
+        orbit_numbers(digits, bases, np.array([widest + 1], dtype=np.int64))

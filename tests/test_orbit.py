@@ -1,4 +1,5 @@
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,10 @@ from hypothesis import given, settings, strategies as st
 from cantornormal import (
     ArgumentError,
     ConstantSequence,
+    InsufficientDigitsError,
+    PeriodicSequence,
+    PresetSequence,
+    TableSequence,
     build_orbit_sink,
     constructed_digits,
     orbit_discrepancy_report,
@@ -19,6 +24,8 @@ from cantornormal import (
     star_discrepancy,
     truncation_depth,
 )
+from cantornormal import orbit
+from cantornormal.kernels import orbit_numbers
 from cantornormal.ladder import PartitionIndex
 
 
@@ -198,3 +205,127 @@ def test_discrepancy_report_orbit_sink_stays_biased(log_preset):
     report = orbit_discrepancy_report(log_preset, y, [10**4], depth=6)
     # orbit values crowd near 0, so the discrepancy stays large
     assert report.rows[0].d_star > 0.5
+
+
+# reference two-sort float formulas, which the one-sort helper must equal bit for bit
+
+def _star_reference(values):
+    xs = np.sort(np.asarray(values, dtype=np.float64))
+    n = xs.size
+    grid = np.arange(1, n + 1, dtype=np.float64) / n
+    return float(max((grid - xs).max(), (xs - grid + 1.0 / n).max()))
+
+
+def _extreme_reference(values):
+    xs = np.sort(np.asarray(values, dtype=np.float64))
+    n = xs.size
+    diffs = np.arange(1, n + 1, dtype=np.float64) / n - xs
+    return float(1.0 / n + diffs.max() - diffs.min())
+
+
+_BELOW_ONE = float(np.nextafter(1.0, 0.0))
+_unit_floats = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    st.sampled_from([0.0, 0.5, 1 / 3, _BELOW_ONE]),
+    st.integers(min_value=0, max_value=7).map(lambda k: k / 8),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_unit_floats, min_size=1, max_size=60))
+def test_one_sort_discrepancies_equal_two_sort_formulas(xs):
+    for sample in (xs, np.asarray(xs)):
+        assert star_discrepancy(sample) == _star_reference(xs)
+        assert extreme_discrepancy(sample) == _extreme_reference(xs)
+
+
+def test_report_rows_equal_two_sort_formulas(c2, c2_index, log_preset):
+    E = constructed_digits(c2, index=c2_index)
+    zeros = finite_digits(c2, [0] * 200)
+    cases = [
+        (c2, E, 24, c2_index),
+        (c2, E, 3, c2_index),  # 8 distinct values: many ties
+        (c2, zeros, 2, c2_index),  # every sample exactly 0.0
+        (log_preset, constructed_digits(log_preset), None, None),
+    ]
+    for seq, stream, depth, index in cases:
+        cps = [1, 2, 17, 100, 150] if stream is zeros else [1, 2, 17, 1000, 4096, 5000]
+        report = orbit_discrepancy_report(seq, stream, cps + [1], depth=depth, index=index)
+        values, _ = orbit_values(seq, stream, max(cps), depth=depth, index=index)
+        assert [row.n for row in report.rows] == sorted(set(cps))
+        for row in report.rows:
+            assert row.d_star == _star_reference(values[: row.n])
+            assert row.d_extreme == _extreme_reference(values[: row.n])
+
+
+def _orbit_values_unblocked(seq, digits, count, depth):
+    """One orbit_numbers call over the whole index range, depths per m."""
+    pi = PartitionIndex(seq)
+    depths = np.array(
+        [truncation_depth(pi, m) if depth is None else depth for m in range(count)],
+        dtype=np.int64,
+    )
+    need = int((np.arange(count) + depths).max())
+    num, den = orbit_numbers(np.asarray(digits)[:need], seq.bases(1, need), depths)
+    return num / den, 1.0 / den
+
+
+def _block_test_sequence(kind, rng, top):
+    if kind == "periodic":
+        return PeriodicSequence(rng.integers(2, top + 1, size=int(rng.integers(1, 6))).tolist())
+    if kind == "table":
+        return TableSequence(rng.integers(2, top + 1, size=int(rng.integers(1, 40))).tolist())
+    return PresetSequence("log")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(["periodic", "table", "preset"]),
+    # all-2 bases reach window length 4, so default depth 2, at m = 622
+    st.sampled_from([2, 9]),
+    st.integers(min_value=1, max_value=300),
+    st.integers(min_value=1, max_value=1000),
+    st.one_of(st.none(), st.integers(min_value=1, max_value=12)),
+    st.booleans(),
+    st.integers(min_value=0, max_value=2**16),
+)
+def test_orbit_values_blocks_match_one_unblocked_call(
+    kind, top, chunk, count, depth, as_stream, seed
+):
+    rng = np.random.default_rng(seed)
+    seq = _block_test_sequence(kind, rng, top)
+    size = count + 12  # at least the deepest read of any case
+    digits = rng.integers(0, seq.bases(1, size))
+    E = finite_digits(seq, digits) if as_stream else digits
+    want = _orbit_values_unblocked(seq, digits, count, depth)
+    with mock.patch.object(orbit, "_ORBIT_CHUNK", chunk):
+        got = orbit_values(seq, E, count, depth=depth)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=300),
+    st.integers(min_value=1, max_value=700),
+    st.one_of(st.none(), st.integers(min_value=1, max_value=12)),
+)
+def test_orbit_values_guards_hold_in_every_block(chunk, count, depth):
+    with mock.patch.object(orbit, "_ORBIT_CHUNK", chunk):
+        # bases reach 2**60 only past the reads of every block but the last,
+        # whose last point then spans more than 61.5 bits
+        last_lo = (count - 1) // chunk * chunk
+        wide = TableSequence([2] * (last_lo + 10) + [2**60])
+        with pytest.raises(ArgumentError, match="int64 denominators"):
+            orbit_values(wide, np.zeros(count + 11, dtype=np.int64), count, depth=11)
+        with pytest.raises(ArgumentError, match="int64 denominators"):
+            _orbit_values_unblocked(wide, np.zeros(count + 11, dtype=np.int64), count, 11)
+
+        # a finite stream one digit short of the deepest read is refused
+        seq = PeriodicSequence([2, 3])
+        last = truncation_depth(PartitionIndex(seq), count - 1) if depth is None else depth
+        need = count - 1 + last
+        orbit_values(seq, finite_digits(seq, [0] * need), count, depth=depth)
+        with pytest.raises(InsufficientDigitsError):
+            orbit_values(seq, finite_digits(seq, [0] * (need - 1)), count, depth=depth)
+        with pytest.raises(ArgumentError, match=f"needs {need} digits"):
+            orbit_values(seq, np.zeros(need - 1, dtype=np.int64), count, depth=depth)
