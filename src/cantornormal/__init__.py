@@ -52,7 +52,6 @@ from .stats import (
 )
 from .transforms import (
     ModulusOfDivergence,
-    ModulusTable,
     Schedule,
     UDSource,
     build_orbit_sink,

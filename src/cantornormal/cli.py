@@ -34,7 +34,6 @@ from .stats import (
     parse_block,
 )
 from .transforms import (
-    ModulusTable,
     UDSource,
     build_orbit_sink,
     build_patched_uniform,
@@ -53,28 +52,17 @@ def _build_target(name: str, seq: BasicSequence, args) -> DigitSequence:
     if name == "rnq-not-nq":
         return build_half_range(seq, log_base=args.log_base)
     if name == "rnq-dnq-not-nq":
-        mod_div = None
-        if getattr(args, "mod_div", None) and args.mod_div != "auto":
-            head, _, rest = args.mod_div.partition(":")
-            if head != "file":
-                raise ArgumentError(
-                    f"bad divergence modulus spec {args.mod_div!r}; expected auto or file:path"
-                )
-            entries = _json_field(Path(rest), "entries", dict)
-            try:
-                mod_div = ModulusTable(seq, entries)
-            except (TypeError, ValueError) as exc:
-                raise ArgumentError(f"{rest}: entries must map integers to integers") from exc
         ud = UDSource(getattr(args, "ud", "vdc"))
-        return build_patched_uniform(seq, mod_div=mod_div, ud=ud, log_base=args.log_base)
+        return build_patched_uniform(seq, ud=ud, log_base=args.log_base)
     raise ArgumentError(f"unknown target {name!r}; expected one of {TARGETS}")
 
 
 def _json_field(path: Path, key: str, kind: type):
     """The `key` entry of the JSON object in `path`, which must be a `kind`."""
     try:
+        # ValueError also covers integers past Python's int-parsing digit limit
         value = json.loads(read_text(path))[key]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise ArgumentError(f"{path}: expected a JSON object with key {key!r}") from exc
     if not isinstance(value, kind):
         raise ArgumentError(f"{path}: {key!r} must be a JSON {kind.__name__}")
@@ -324,8 +312,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if target:
             p.add_argument("--target", default="xq", choices=TARGETS)
             p.add_argument("--ud", default="vdc", choices=UDSource.KINDS)
-            p.add_argument("--mod-div", default="auto",
-                           help="divergence modulus: auto | file:path")
 
     p = sub.add_parser("digits", help="emit construction digits")
     common(p)

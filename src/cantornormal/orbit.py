@@ -26,6 +26,8 @@ from .sequences import BasicSequence
 # orbit indices per block of orbit_values: keeps the kernel's per-step
 # temporaries at a few MB however many points are asked for
 _ORBIT_CHUNK = 1 << 16
+# the float below 1: a value num/den < 1 past 53 bits of den can round up to 1.0
+_BELOW_ONE = np.nextafter(1.0, 0.0)
 
 __all__ = [
     "OrbitPoint",
@@ -90,7 +92,11 @@ def orbit_values(
     depth: int | None = None,
     index: PartitionIndex | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Float orbit values and error bounds for indices 0..count-1 (bulk)."""
+    """Float orbit values and error bounds for indices 0..count-1 (bulk).
+
+    Each value is the exact truncated value rounded to the nearest float,
+    and rounded down where that would give 1.0, so it lies in [0, 1); it
+    carries up to 2**-53 of float rounding on top of its `eps`."""
     if count < 0:
         raise ArgumentError(f"orbit count must be >= 0, got {count}")
     if count == 0:
@@ -123,6 +129,7 @@ def orbit_values(
         top = hi - 1 + int(depths[-1])
         num, den = orbit_numbers(digits[lo:top], seq.bases(lo + 1, top), depths)
         np.divide(num, den, out=values[lo:hi])
+        np.minimum(values[lo:hi], _BELOW_ONE, out=values[lo:hi])
         np.divide(1.0, den, out=eps[lo:hi])
     return values, eps
 

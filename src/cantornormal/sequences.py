@@ -475,7 +475,8 @@ def parse_sequence_spec(spec: str) -> BasicSequence:
     else:
         raise ArgumentError(f"unknown sequence spec kind {head!r}")
     try:
+        # ValueError also covers integers past Python's int-parsing digit limit
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ArgumentError(f"bad sequence JSON in {spec!r}: {exc}") from exc
     return sequence_from_json(data)

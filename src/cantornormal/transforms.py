@@ -210,14 +210,13 @@ def build_half_range(Q: BasicSequence, *, log_base: str = "e") -> DigitSequence:
 class ModulusOfDivergence:
     """For a threshold n, the least position t with log(q_j) > n for all
     j >= t. Read from the sequence's closed-form first_position, so only
-    nondecreasing unbounded sequences derive one; others must supply
-    their own table."""
+    nondecreasing unbounded sequences have one."""
 
     def __init__(self, seq: BasicSequence):
         if not (seq.infinite_in_limit and seq.nondecreasing):
             raise ArgumentError(
                 "a divergence modulus can only be derived for nondecreasing "
-                "unbounded sequences; supply one explicitly"
+                "unbounded sequences"
             )
         self.seq = seq
 
@@ -228,33 +227,14 @@ class ModulusOfDivergence:
             raise ScanBoundError("divergence modulus capped at threshold 700")
         c = math.floor(math.exp(n)) + 1  # least integer base with log(base) > n
         t = self.seq.first_position(c)
-        _verify_modulus(self.seq, n, t)
+        # spot check: the claim must hold at t and (for minimality) fail before it
+        if math.log(self.seq.base_at(t)) <= n:
+            raise ArgumentError(
+                f"divergence modulus {t} inconsistent: log base at {t} is not above {n}"
+            )
+        if t > 1 and math.log(self.seq.base_at(t - 1)) > n:
+            raise ArgumentError(f"divergence modulus {t} is not minimal for threshold {n}")
         return t
-
-
-class ModulusTable:
-    """Explicit (threshold, position) pairs for user-supplied sequences."""
-
-    def __init__(self, seq: BasicSequence, entries: dict[int, int]):
-        self.seq = seq
-        self.entries = {int(k): int(v) for k, v in entries.items()}
-
-    def __call__(self, n: int) -> int:
-        if n not in self.entries:
-            raise ArgumentError(f"divergence modulus table has no entry for threshold {n}")
-        t = self.entries[n]
-        _verify_modulus(self.seq, n, t)
-        return t
-
-
-def _verify_modulus(seq: BasicSequence, n: int, t: int) -> None:
-    # spot check: the claim must hold at t and (for minimality) fail before it
-    if math.log(seq.base_at(t)) <= n:
-        raise ArgumentError(
-            f"divergence modulus {t} inconsistent: log base at {t} is not above {n}"
-        )
-    if t > 1 and seq.nondecreasing and math.log(seq.base_at(t - 1)) > n:
-        raise ArgumentError(f"divergence modulus {t} is not minimal for threshold {n}")
 
 
 # ---------------------------------------------------------------------------
@@ -289,24 +269,16 @@ class Schedule:
         *,
         donor: BasicSequence | None = None,
         ud: UDSource | None = None,
-        mod_div=None,
         log_base: str = "e",
-        scan_limit: int = DEFAULT_SCAN_LIMIT,
     ):
         self.target = target
         self.donor = donor or IndexLogSequence(log_base)
         self.donor_digits = constructed_digits(self.donor)
         self.ud = ud or UDSource("vdc")
-        # the threshold scans work for any target; only the ladder itself
-        # needs a divergence modulus, so derive it lazily
-        self._mod_div = mod_div
         self.log_base = log_base
-        self.scan_limit = scan_limit
         self.clamps = ClampCounter()
         self._levels = [0]
         self._level_terms: dict[int, dict] = {}
-        self._mass_cache: dict[int, int] = {}
-        self._count_cache: dict[tuple[int, int], int] = {}
 
     # -- log-mass threshold ------------------------------------------------
 
@@ -335,22 +307,19 @@ class Schedule:
         ratio is monotone, so the first hit is final)."""
         if n < 1:
             raise ArgumentError(f"schedule step must be >= 1, got {n}")
-        if n in self._mass_cache:
-            return self._mass_cache[n]
         start = self.level(n - 1)
         numerator = self._leading_mass_products(n)
         den = 1
         j = start
         while True:
             j += 1
-            if j - start > self.scan_limit:
+            if j - start > DEFAULT_SCAN_LIMIT:
                 raise ScanBoundError(
                     f"log-mass threshold for step {n} not found within "
-                    f"{self.scan_limit} positions"
+                    f"{DEFAULT_SCAN_LIMIT} positions"
                 )
             den *= self.target.base_at(j)
             if numerator < den:
-                self._mass_cache[n] = j
                 return j
 
     # -- expected-count threshold -------------------------------------------
@@ -379,8 +348,6 @@ class Schedule:
     def count_threshold(self, n: int, k: int) -> int:
         if not 1 <= k <= n:
             raise ArgumentError(f"block length {k} must lie in 1..{n}")
-        if (n, k) in self._count_cache:
-            return self._count_cache[(n, k)]
         blocks = self._candidate_blocks(n, k)
         if not blocks:
             raise ArgumentError(
@@ -393,10 +360,10 @@ class Schedule:
         j = 0
         while pending:
             j += 1
-            if j > self.scan_limit:
+            if j > DEFAULT_SCAN_LIMIT:
                 raise ScanBoundError(
                     f"expected-count threshold for step {n}, length {k} not "
-                    f"found within {self.scan_limit} positions"
+                    f"found within {DEFAULT_SCAN_LIMIT} positions"
                 )
             m = j - k + 1
             if m >= 1:
@@ -406,16 +373,9 @@ class Schedule:
                         running[b] += Fraction(1, den)
                     acc[b] += running[b]
             pending = {b for b in pending if not goals[b] < acc[b]}
-        self._count_cache[(n, k)] = j
         return j
 
     # -- the schedule ladder ----------------------------------------------
-
-    @property
-    def mod_div(self):
-        if self._mod_div is None:
-            self._mod_div = ModulusOfDivergence(self.target)
-        return self._mod_div
 
     def level(self, n: int) -> int:
         if n < 0:
@@ -424,7 +384,9 @@ class Schedule:
             step = len(self._levels)
             prev = self._levels[step - 1]
             terms = {
-                "modulus": self.mod_div(step),
+                # the threshold scans work for any target; only the ladder
+                # itself needs a divergence modulus
+                "modulus": ModulusOfDivergence(self.target)(step),
                 "square": prev + step * step,
                 "log-mass": prev + self.log_mass_threshold(step),
                 "blocks": max(self.count_threshold(step, k) for k in range(1, step + 1)),
@@ -515,14 +477,13 @@ class Schedule:
 def build_patched_uniform(
     Q: BasicSequence,
     *,
-    mod_div=None,
     ud: UDSource | None = None,
     log_base: str = "e",
 ) -> DigitSequence:
     """The patched uniform stream: donor segments at the schedule positions,
     a uniformly distributed driver with a slowly rising digit floor elsewhere."""
     _require_infinite(Q, "the patched uniform construction")
-    sched = Schedule(Q, ud=ud, mod_div=mod_div, log_base=log_base)
+    sched = Schedule(Q, ud=ud, log_base=log_base)
     ds = DigitSequence(
         Q,
         sched.prefix,

@@ -130,6 +130,19 @@ def test_discrepancy_report(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("depth", [54, 61])
+def test_discrepancy_past_53_bits_of_depth(capsys, tmp_path, depth):
+    # every exact value is 1 - 2**-depth, which a float rounds to 1.0
+    ones = tmp_path / "ones.csv"
+    ones.write_text("1\n" * 200)
+    code, out, err = run_cli(capsys, "discrepancy", "--seq", "constant:2", "--depth",
+                             f"fixed:{depth}", "--source", f"file:{ones}",
+                             "--checkpoints", "100", "--format", "json")
+    assert (code, err) == (0, "")
+    row = json.loads(out)["rows"][0]
+    assert row["d_star"] == 1 - 2**-53 and row["max_eps"] == 2.0**-depth
+
+
 def test_construct_targets(capsys):
     for target in ("xq", "nq-not-dnq", "rnq-not-nq", "rnq-dnq-not-nq"):
         code, out, _ = run_cli(capsys, "construct", "--seq", "preset:log",
@@ -153,7 +166,6 @@ def test_argument_error_exit_code(capsys):
     assert "error[argument]" in err
 
 
-BAD_MOD_DIV_FILES = ["{bad", "{}", "[]", '{"entries": 5}', '{"entries": {"1": "x"}}']
 BAD_DIGIT_JSON_FILES = ["{bad", "{}", "[1,0]", '{"digits": 5}', '{"digits": ["a"]}',
                         '{"digits": [5]}']
 BAD_SEQ_JSON = ['{"kind":"constant"}', '{"kind":"preset"}', '{"kind":"pointwise","op":"log-of"}',
@@ -164,11 +176,11 @@ BAD_SEQ_JSON = ['{"kind":"constant"}', '{"kind":"preset"}', '{"kind":"pointwise"
 
 @pytest.mark.parametrize(
     "case",
-    ["bad-json-seq", "bad-json-seq-file", "missing-mod-div", "non-integer-digit",
+    ["bad-json-seq", "bad-json-seq-file", "huge-int-json-seq", "huge-int-digit-file",
+     "non-integer-digit",
      "digit-file-is-dir", "all-blocks-too-long", "all-blocks-too-many",
      "negative-oracle-check", "seq-file-is-dir", "seq-file-not-utf8",
      "diagnose-one-checkpoint", "diagnose-one-checkpoint-above-1"]
-    + [f"mod-div {text}" for text in BAD_MOD_DIV_FILES]
     + [f"digit-json {text}" for text in BAD_DIGIT_JSON_FILES]
     + [f"json-seq {text}" for text in BAD_SEQ_JSON],
 )
@@ -182,11 +194,19 @@ def test_bad_input_exits_2(capsys, tmp_path, case):
     latin1_file.write_bytes('{"kind": "preset", "name": "log\xe9"}'.encode("latin-1"))
     data_file = tmp_path / "data.json"
     data_file.write_text(text)
+    # past Python's 4300-digit int-parsing limit, which json.loads reports
+    # as a plain ValueError
+    huge = "9" * 5000
+    huge_digit_file = tmp_path / "huge.json"
+    huge_digit_file.write_text(f'{{"digits": [{huge}]}}')
     argv = {
         "bad-json-seq": ("digits", "--seq", "json:{bad", "--count", "4"),
         "bad-json-seq-file": ("digits", "--seq", f"file:{seq_file}", "--count", "4"),
-        "missing-mod-div": ("construct", "--seq", "preset:log", "--target", "rnq-dnq-not-nq",
-                            "--mod-div", f"file:{tmp_path / 'missing.json'}", "--count", "4"),
+        "huge-int-json-seq": ("digits", "--seq", f'json:{{"kind":"constant","b":{huge}}}',
+                              "--count", "4"),
+        "huge-int-digit-file": ("stats", "--seq", "constant:2", "--source",
+                                f"file:{huge_digit_file}", "--blocks", "0",
+                                "--checkpoints", "1"),
         "non-integer-digit": ("stats", "--seq", "constant:2", "--source", f"file:{digit_file}",
                               "--blocks", "0", "--checkpoints", "1"),
         "digit-file-is-dir": ("stats", "--seq", "constant:2", "--source", f"file:{tmp_path}",
@@ -200,8 +220,6 @@ def test_bad_input_exits_2(capsys, tmp_path, case):
         # a negative step would make the checked range empty
         "negative-oracle-check": ("digits", "--seq", "constant:2", "--count", "5",
                                   "--oracle-check", "-1"),
-        "mod-div": ("construct", "--seq", "preset:log", "--target", "rnq-dnq-not-nq",
-                    "--mod-div", f"file:{data_file}", "--count", "4"),
         "digit-json": ("stats", "--seq", "constant:2", "--source", f"file:{data_file}",
                        "--blocks", "0", "--checkpoints", "1"),
         "seq-file-is-dir": ("digits", "--seq", f"file:{tmp_path}", "--count", "4"),

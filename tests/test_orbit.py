@@ -329,3 +329,17 @@ def test_orbit_values_guards_hold_in_every_block(chunk, count, depth):
             orbit_values(seq, finite_digits(seq, [0] * (need - 1)), count, depth=depth)
         with pytest.raises(ArgumentError, match=f"needs {need} digits"):
             orbit_values(seq, np.zeros(need - 1, dtype=np.int64), count, depth=depth)
+
+
+@pytest.mark.parametrize("depth", [53, 54, 61])
+def test_deep_orbit_values_stay_below_one(c2, depth):
+    # on a stream of 1s every truncated value is 1 - 2**-depth, which rounds
+    # to 1.0 past 53 bits; it is rounded down to the float below 1 instead
+    ones = finite_digits(c2, [1] * 200)
+    values, eps = orbit_values(c2, ones, 100, depth=depth)
+    assert (values == np.nextafter(1.0, 0.0)).all()
+    exact = orbit_truncated(c2, ones, 99, depth=depth).value
+    assert abs(Fraction(float(values[99])) - exact) <= Fraction(1, 2**53)
+    assert (eps == 2.0**-depth).all()
+    report = orbit_discrepancy_report(c2, ones, [1, 100], depth=depth)
+    assert [r.d_star for r in report.rows] == [1.0 - 2**-53] * 2

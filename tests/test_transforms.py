@@ -27,7 +27,7 @@ from cantornormal import (
     ud_source,
 )
 from cantornormal import transforms
-from cantornormal.transforms import ModulusOfDivergence, ModulusTable
+from cantornormal.transforms import ModulusOfDivergence
 
 
 # -- clip map ---------------------------------------------------------------
@@ -301,15 +301,16 @@ def test_position_search_at_the_last_float_level(log_base, last):
         pointwise.first_position(last + 1)
 
 
-def test_modulus_table_spot_check(log_preset):
-    good = ModulusTable(log_preset, {1: 4})
-    assert good(1) == 4
-    bad = ModulusTable(log_preset, {1: 3})
-    with pytest.raises(ArgumentError):
-        bad(1)  # base at 3 is still 2, log 2 < 1
-    not_minimal = ModulusTable(log_preset, {1: 10})
-    with pytest.raises(ArgumentError):
-        not_minimal(1)
+def test_modulus_runtime_checks(monkeypatch):
+    # a first_position one step early breaks log q_t > n, one step late
+    # breaks minimality (log q_{t-1} <= n); both are caught at call time
+    for seq in (PresetSequence("log"), PresetSequence("iterated-log"), IndexLogSequence()):
+        first_position = seq.first_position
+        for shift, error in ((-1, "inconsistent"), (1, "not minimal")):
+            monkeypatch.setattr(seq, "first_position",
+                                lambda c, s=shift: first_position(c) + s)
+            with pytest.raises(ArgumentError, match=error):
+                ModulusOfDivergence(seq)(2)
 
 
 def test_patched_stream_wiring(log_preset):
