@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .digitseq import DigitSequence, constructed_digits, finite_digits
-from .errors import ArgumentError, CantorSeriesError
+from .errors import ArgumentError, CantorSeriesError, excerpt
 from .generator import digit_at
 from .ladder import PartitionIndex
 from .orbit import orbit_discrepancy_report
@@ -61,9 +61,12 @@ def _json_field(path: Path, key: str, kind: type):
     """The `key` entry of the JSON object in `path`, which must be a `kind`."""
     try:
         # ValueError also covers integers past Python's int-parsing digit limit
-        value = json.loads(read_text(path))[key]
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ArgumentError(f"{path}: expected a JSON object with key {key!r}") from exc
+        data = json.loads(read_text(path))
+    except ValueError as exc:
+        raise ArgumentError(f"{path}: bad JSON: {exc}") from exc
+    if not isinstance(data, dict) or key not in data:
+        raise ArgumentError(f"{path}: expected a JSON object with key {key!r}")
+    value = data[key]
     if not isinstance(value, kind):
         raise ArgumentError(f"{path}: {key!r} must be a JSON {kind.__name__}")
     return value
@@ -83,7 +86,9 @@ def _load_digit_file(seq: BasicSequence, path: Path) -> DigitSequence:
             try:
                 digits.append(int(line.split(",")[-1]))
             except ValueError as exc:
-                raise ArgumentError(f"{path}:{lineno}: digit {line!r} is not an integer") from exc
+                raise ArgumentError(
+                    f"{path}:{lineno}: digit {excerpt(line)} is not an integer"
+                ) from exc
     return finite_digits(seq, digits)
 
 
@@ -94,14 +99,14 @@ def _resolve_source(args, seq: BasicSequence) -> DigitSequence:
     head, _, rest = source.partition(":")
     if head == "file":
         return _load_digit_file(seq, Path(rest))
-    raise ArgumentError(f"bad source {source!r}; expected construct or file:path")
+    raise ArgumentError(f"bad source {excerpt(source)}; expected construct or file:path")
 
 
 def _parse_checkpoints(text: str) -> list[int]:
     try:
         cps = [int(p) for p in text.split(",") if p]
     except ValueError as exc:
-        raise ArgumentError(f"bad checkpoint list {text!r}") from exc
+        raise ArgumentError(f"bad checkpoint list {excerpt(text)}") from exc
     if not cps:
         raise ArgumentError("at least one checkpoint is required")
     return cps
@@ -122,8 +127,8 @@ def _parse_depth(text: str) -> int | None:
         try:
             return int(rest)
         except ValueError as exc:
-            raise ArgumentError(f"bad depth {text!r}") from exc
-    raise ArgumentError(f"bad depth {text!r}; expected fixed:<d> or default")
+            raise ArgumentError(f"bad depth {excerpt(text)}") from exc
+    raise ArgumentError(f"bad depth {excerpt(text)}; expected fixed:<d> or default")
 
 
 def _emit(args, body: str, manifest_params: dict) -> None:
@@ -176,7 +181,7 @@ def _cmd_digits(args) -> None:
     seq = parse_sequence_spec(args.seq)
     E = constructed_digits(seq)
     if args.oracle_check < 0:
-        raise ArgumentError(f"--oracle-check must be >= 0, got {args.oracle_check}")
+        raise ArgumentError(f"--oracle-check must be >= 0, got {excerpt(args.oracle_check)}")
     digits = E.prefix(args.count)
     if args.oracle_check:
         pi = PartitionIndex(seq)

@@ -7,9 +7,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ArgumentError, InsufficientDigitsError
+from .errors import ArgumentError, InsufficientDigitsError, excerpt
 from .generator import generate_digits
-from .ladder import PartitionIndex
 from .sequences import BasicSequence, check_position
 
 log = logging.getLogger("cantornormal")
@@ -35,7 +34,7 @@ class DigitSequence:
     def prefix(self, n: int) -> np.ndarray:
         """Digits at positions 1..n (a read-only view)."""
         if n < 0:
-            raise ArgumentError(f"prefix length must be >= 0, got {n}")
+            raise ArgumentError(f"prefix length must be >= 0, got {excerpt(n)}")
         if n > self._buf.size:
             grow = max(n, 2 * self._buf.size, 64)
             try:
@@ -59,12 +58,11 @@ class DigitSequence:
         return self.description
 
 
-def constructed_digits(seq: BasicSequence, *, index: PartitionIndex | None = None) -> DigitSequence:
+def constructed_digits(seq: BasicSequence) -> DigitSequence:
     """The cycling construction's digit stream over `seq`."""
-    pi = index or PartitionIndex(seq)
     return DigitSequence(
         seq,
-        lambda n: generate_digits(seq, n, index=pi),
+        lambda n: generate_digits(seq, n),
         {"op": "construct", "seq": seq.to_json()},
     )
 

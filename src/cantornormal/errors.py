@@ -31,3 +31,10 @@ class RefinementError(CantorSeriesError):
     """Base conversion could not certify a digit within the refinement cap."""
 
     code = "refinement"
+
+
+def excerpt(value) -> str:
+    """The repr of `value` cut to its first 60 characters: error messages
+    quote user input through this, so a huge input cannot flood stderr."""
+    text = repr(value)
+    return text if len(text) <= 60 else text[:57] + "..."

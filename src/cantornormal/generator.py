@@ -17,7 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ArgumentError, CounterSpillError
+from .errors import ArgumentError, CounterSpillError, excerpt
 from .kernels import region_digits
 from .ladder import PartitionIndex, block_from_index
 from .sequences import BasicSequence, check_position
@@ -26,42 +26,27 @@ DEFAULT_SPILL_LIMIT = 10**7
 
 
 class OccurrenceCounters:
-    """Counts how often each (window length, base block) value has appeared."""
+    """Counts how often each base block has appeared within one region."""
 
-    def __init__(self, spill_limit: int = DEFAULT_SPILL_LIMIT):
-        self.spill_limit = spill_limit
+    def __init__(self):
         self._counts: dict = {}
 
-    def bump(self, r: int, bases: tuple) -> int:
+    def bump(self, bases: tuple) -> int:
         """Record one more occurrence and return its 1-based ordinal."""
-        key = (r, bases)
-        c = self._counts.get(key, 0) + 1
-        if c == 1 and len(self._counts) >= self.spill_limit:
+        c = self._counts.get(bases, 0) + 1
+        if c == 1 and len(self._counts) >= DEFAULT_SPILL_LIMIT:
             raise CounterSpillError(
-                f"more than {self.spill_limit} distinct base windows; "
-                "raise the spill limit if this is intentional"
+                f"more than {DEFAULT_SPILL_LIMIT} distinct base windows in one region"
             )
-        self._counts[key] = c
+        self._counts[bases] = c
         return c
 
-    def count(self, r: int, bases: tuple) -> int:
-        return self._counts.get((r, tuple(bases)), 0)
 
-    def __len__(self) -> int:
-        return len(self._counts)
-
-
-def generate_digits(
-    seq: BasicSequence,
-    count: int,
-    *,
-    index: PartitionIndex | None = None,
-    spill_limit: int = DEFAULT_SPILL_LIMIT,
-) -> np.ndarray:
+def generate_digits(seq: BasicSequence, count: int) -> np.ndarray:
     """Digits at positions 1..count as an int64 array."""
     if count < 0:
-        raise ArgumentError(f"digit count must be >= 0, got {count}")
-    pi = index or PartitionIndex(seq)
+        raise ArgumentError(f"digit count must be >= 0, got {excerpt(count)}")
+    pi = PartitionIndex(seq)
     out = np.empty(count, dtype=np.int64)
     produced = 0
     r = 1
@@ -72,10 +57,10 @@ def generate_digits(
             nwin = min(nwin_total, -(-(count - lo) // r))
             bases = seq.bases(lo + 1, lo + nwin * r)
             digits, distinct = region_digits(bases, r)
-            if distinct > spill_limit:
+            if distinct > DEFAULT_SPILL_LIMIT:
                 raise CounterSpillError(
                     f"{distinct} distinct base windows in one region exceeds "
-                    f"the spill limit {spill_limit}"
+                    f"the spill limit {DEFAULT_SPILL_LIMIT}"
                 )
             take = min(nwin * r, count - lo)
             out[lo : lo + take] = digits[:take]
@@ -84,21 +69,17 @@ def generate_digits(
     return out
 
 
-def digit_stream(
-    seq: BasicSequence,
-    *,
-    index: PartitionIndex | None = None,
-    spill_limit: int = DEFAULT_SPILL_LIMIT,
-) -> Iterator[int]:
+def digit_stream(seq: BasicSequence) -> Iterator[int]:
     """Infinite digit iterator walking windows in position order."""
-    pi = index or PartitionIndex(seq)
-    counters = OccurrenceCounters(spill_limit)
+    pi = PartitionIndex(seq)
     r = 1
     while True:
         lo, hi = pi.region(r)
+        # ordinals restart in every region, so do the counts and the spill limit
+        counters = OccurrenceCounters()
         for wstart in range(lo + 1, hi + 1, r):
             bases = tuple(int(seq.base_at(wstart + i)) for i in range(r))
-            occ = counters.bump(r, bases)
+            occ = counters.bump(bases)
             ordinal = (occ - 1) % math.prod(bases) + 1
             yield from block_from_index(bases, ordinal)
         r += 1
@@ -109,9 +90,12 @@ def digit_at(seq: BasicSequence, n: int, *, index: PartitionIndex | None = None)
 
     Finds the containing window, recounts every earlier window in the region
     with the same bases, and reads the digit out of the cyclically assigned
-    block. Agrees exactly with digit_stream.
+    block. Agrees exactly with digit_stream. An `index` saves rebuilding the
+    ladder across calls; it must be built for `seq`.
     """
     check_position(n)
+    if index is not None and index.seq is not seq and index.seq != seq:
+        raise ArgumentError("the partition index was built for another sequence")
     pi = index or PartitionIndex(seq)
     r = pi.region_of(n)
     lo, _ = pi.region(r)

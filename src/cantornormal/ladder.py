@@ -51,9 +51,9 @@ class BaseWindow:
 class PartitionIndex:
     """Caches the ladder ladder_index, region boundaries boundary, and position lookups."""
 
-    def __init__(self, seq: BasicSequence, scan_bound: int | None = None):
+    def __init__(self, seq: BasicSequence):
         self.seq = seq
-        self.scan_bound = scan_bound if scan_bound is not None else _scan_bound_default()
+        self.scan_bound = _scan_bound_default()
         self._n = [None]  # 1-based: self._n[r] = ladder_index
         self._N = [None, 0]  # self._N[1] = 0
 

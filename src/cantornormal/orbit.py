@@ -18,7 +18,7 @@ from numbers import Rational
 import numpy as np
 
 from .digitseq import DigitSequence
-from .errors import ArgumentError
+from .errors import ArgumentError, excerpt
 from .kernels import orbit_numbers
 from .ladder import PartitionIndex
 from .sequences import BasicSequence
@@ -58,21 +58,13 @@ def truncation_depth(index: PartitionIndex, m: int) -> int:
     return math.isqrt(index.region_of(max(m, 1)))
 
 
-def orbit_truncated(
-    seq: BasicSequence,
-    E,
-    m: int,
-    *,
-    depth: int | None = None,
-    index: PartitionIndex | None = None,
-) -> OrbitPoint:
+def orbit_truncated(seq: BasicSequence, E, m: int, *, depth: int | None = None) -> OrbitPoint:
     """Exact truncated orbit value at index m with its error bound."""
     if m < 0:
         raise ArgumentError(f"orbit index must be >= 0, got {m}")
-    pi = index or PartitionIndex(seq)
-    d = truncation_depth(pi, m) if depth is None else int(depth)
+    d = truncation_depth(PartitionIndex(seq), m) if depth is None else int(depth)
     if d < 1:
-        raise ArgumentError(f"truncation depth must be >= 1, got {d}")
+        raise ArgumentError(f"truncation depth must be >= 1, got {excerpt(d)}")
     digits = E.prefix(m + d) if isinstance(E, DigitSequence) else np.asarray(E)
     if len(digits) < m + d:
         raise ArgumentError(f"need digits through position {m + d}, have {len(digits)}")
@@ -85,12 +77,7 @@ def orbit_truncated(
 
 
 def orbit_values(
-    seq: BasicSequence,
-    E,
-    count: int,
-    *,
-    depth: int | None = None,
-    index: PartitionIndex | None = None,
+    seq: BasicSequence, E, count: int, *, depth: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Float orbit values and error bounds for indices 0..count-1 (bulk).
 
@@ -101,9 +88,9 @@ def orbit_values(
         raise ArgumentError(f"orbit count must be >= 0, got {count}")
     if count == 0:
         return np.empty(0), np.empty(0)
-    pi = index or PartitionIndex(seq)
     if depth is None:
-        boundaries = np.asarray(pi.boundaries_through(count), dtype=np.int64)[1:]
+        ladder = PartitionIndex(seq).boundaries_through(count)
+        boundaries = np.asarray(ladder, dtype=np.int64)[1:]
 
         def depths_of(lo: int, hi: int) -> np.ndarray:
             # region lookup for every m at once; m = 0 shares region 1's depth
@@ -111,7 +98,7 @@ def orbit_values(
             return np.sqrt(r_per_m.astype(np.float64)).astype(np.int64)
     else:
         if depth < 1:
-            raise ArgumentError(f"truncation depth must be >= 1, got {depth}")
+            raise ArgumentError(f"truncation depth must be >= 1, got {excerpt(depth)}")
 
         def depths_of(lo: int, hi: int) -> np.ndarray:
             return np.full(hi - lo, int(depth), dtype=np.int64)
@@ -252,20 +239,14 @@ class DiscrepancyReport:
 
 
 def orbit_discrepancy_report(
-    seq: BasicSequence,
-    E,
-    checkpoints,
-    *,
-    depth: int | None = None,
-    index: PartitionIndex | None = None,
+    seq: BasicSequence, E, checkpoints, *, depth: int | None = None
 ) -> DiscrepancyReport:
     """Star/extreme discrepancy of the truncated orbit sample (x_m) for
     m < N at each checkpoint N, plus the largest certified truncation error."""
     cps = sorted({int(n) for n in checkpoints})
     if not cps or cps[0] < 1:
-        raise ArgumentError(f"checkpoints must be >= 1, got {checkpoints}")
-    pi = index or PartitionIndex(seq)
-    values, eps = orbit_values(seq, E, max(cps), depth=depth, index=pi)
+        raise ArgumentError(f"checkpoints must be >= 1, got {excerpt(checkpoints)}")
+    values, eps = orbit_values(seq, E, max(cps), depth=depth)
     rows = [
         DiscrepancyRow(n, *_sorted_sample_discrepancies(values[:n]), float(eps[:n].max()))
         for n in cps

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ArgumentError, ScanBoundError
+from .errors import ArgumentError, ScanBoundError, excerpt
 
 _LOG_BASE_VALUES = {"e": math.e, "2": 2.0, "10": 10.0}
 # largest c with b**c a finite float; floor_log compares v with the float
@@ -103,9 +103,9 @@ def read_text(path: Path) -> str:
     try:
         return path.read_text()
     except OSError as exc:
-        raise ArgumentError(f"cannot read {path}: {exc.strerror}") from exc
+        raise ArgumentError(f"cannot read {excerpt(str(path))}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
-        raise ArgumentError(f"{path} is not UTF-8 text") from exc
+        raise ArgumentError(f"{excerpt(str(path))} is not UTF-8 text") from exc
 
 
 def _check_bases(values) -> list[int]:
@@ -113,9 +113,9 @@ def _check_bases(values) -> list[int]:
     try:
         bases = [operator.index(b) for b in values]
     except TypeError as exc:
-        raise ArgumentError(f"bases must be integers, got {values!r}") from exc
+        raise ArgumentError(f"bases must be integers, got {excerpt(values)}") from exc
     if any(b < 2 for b in bases):
-        raise ArgumentError(f"bases must be >= 2, got {bases}")
+        raise ArgumentError(f"bases must be >= 2, got {excerpt(bases)}")
     return bases
 
 
@@ -253,7 +253,7 @@ class TableSequence(BasicSequence):
         if not table:
             raise ArgumentError("table sequence needs at least one base")
         if extend != "repeat-last":
-            raise ArgumentError(f"unknown table extension rule {extend!r}")
+            raise ArgumentError(f"unknown table extension rule {excerpt(extend)}")
         self.table = table
         self.extend = extend
         self._prefix_max = list(np.maximum.accumulate(table))
@@ -303,7 +303,7 @@ class PresetSequence(BasicSequence):
 
     def __init__(self, name: str):
         if name not in self._NAMES:
-            raise ArgumentError(f"unknown preset {name!r}; expected one of {self._NAMES}")
+            raise ArgumentError(f"unknown preset {excerpt(name)}; expected one of {self._NAMES}")
         self.name = name
 
     def base_at(self, n: int) -> int:
@@ -375,7 +375,7 @@ class PointwiseSequence(BasicSequence):
 
     def __init__(self, of: BasicSequence, op: str, log_base: str = "e"):
         if op not in self._OPS:
-            raise ArgumentError(f"unknown pointwise op {op!r}")
+            raise ArgumentError(f"unknown pointwise op {excerpt(op)}")
         _check_log_base(log_base)
         self.of = of
         self.op = op
@@ -424,7 +424,7 @@ class PointwiseSequence(BasicSequence):
 def sequence_from_json(obj: dict) -> BasicSequence:
     """Rebuild a sequence from its JSON description."""
     if not isinstance(obj, dict) or "kind" not in obj:
-        raise ArgumentError(f"not a sequence description: {obj!r}")
+        raise ArgumentError(f"not a sequence description: {excerpt(obj)}")
     kind = obj["kind"]
     try:
         if kind == "constant":
@@ -443,14 +443,14 @@ def sequence_from_json(obj: dict) -> BasicSequence:
             )
     except KeyError as exc:
         raise ArgumentError(f"{kind} sequence description lacks the key {exc}") from exc
-    raise ArgumentError(f"unknown sequence kind {kind!r}")
+    raise ArgumentError(f"unknown sequence kind {excerpt(kind)}")
 
 
 def parse_sequence_spec(spec: str) -> BasicSequence:
     """Parse the mini-language: constant:b | periodic:a,b,c | preset:name | file:path."""
     if ":" not in spec:
         raise ArgumentError(
-            f"bad sequence spec {spec!r}; expected constant:b, periodic:a,b,..., "
+            f"bad sequence spec {excerpt(spec)}; expected constant:b, periodic:a,b,..., "
             "preset:name or file:path"
         )
     head, _, rest = spec.partition(":")
@@ -458,12 +458,12 @@ def parse_sequence_spec(spec: str) -> BasicSequence:
         try:
             return ConstantSequence(int(rest))
         except ValueError as exc:
-            raise ArgumentError(f"bad constant base {rest!r}") from exc
+            raise ArgumentError(f"bad constant base {excerpt(rest)}") from exc
     if head == "periodic":
         try:
             return PeriodicSequence([int(p) for p in rest.split(",") if p])
         except ValueError as exc:
-            raise ArgumentError(f"bad periodic pattern {rest!r}") from exc
+            raise ArgumentError(f"bad periodic pattern {excerpt(rest)}") from exc
     if head == "preset":
         if rest == "index-log":
             return IndexLogSequence()
@@ -473,10 +473,10 @@ def parse_sequence_spec(spec: str) -> BasicSequence:
     elif head == "json":
         text = rest
     else:
-        raise ArgumentError(f"unknown sequence spec kind {head!r}")
+        raise ArgumentError(f"unknown sequence spec kind {excerpt(head)}")
     try:
         # ValueError also covers integers past Python's int-parsing digit limit
         data = json.loads(text)
     except ValueError as exc:
-        raise ArgumentError(f"bad sequence JSON in {spec!r}: {exc}") from exc
+        raise ArgumentError(f"bad sequence JSON in {excerpt(spec)}: {exc}") from exc
     return sequence_from_json(data)

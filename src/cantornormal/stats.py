@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from .digitseq import DigitSequence
-from .errors import ArgumentError
+from .errors import ArgumentError, excerpt
 from .kernels import match_mask
 from .ladder import PartitionIndex
 from .sequences import BasicSequence, check_position
@@ -101,11 +101,13 @@ def admissible_blocks(seq: BasicSequence, k: int, n: int) -> list[tuple]:
     sweeping a suffix OR along every axis marks exactly the admissible ones.
     """
     if k < 1:
-        raise ArgumentError(f"block length must be >= 1, got {k}")
+        raise ArgumentError(f"block length must be >= 1, got {excerpt(k)}")
     check_position(n)
     # every base is >= 2, so a length-k block has at least 2**k candidates
     if k >= _MAX_CANDIDATES.bit_length():
-        raise ArgumentError(f"at least 2**{k} candidate blocks of length {k}; out of desk range")
+        raise ArgumentError(
+            f"at least 2**k candidate blocks of length k = {excerpt(k)}; out of desk range"
+        )
     bases = seq.bases(1, n + k - 1)
     limits = [int(bases[j : j + n].max()) for j in range(k)]
     total = math.prod(limits)
@@ -135,7 +137,7 @@ def count_block_checkpoints(E, block, checkpoints) -> list[int]:
     b = _as_block(block)
     cps = [int(n) for n in checkpoints]
     if any(n < 1 for n in cps):
-        raise ArgumentError(f"checkpoints must be >= 1, got {cps}")
+        raise ArgumentError(f"checkpoints must be >= 1, got {excerpt(cps)}")
     top = max(cps)
     digits = _digit_buffer(E, top + len(b) - 1)
     positions = np.flatnonzero(match_mask(digits, b, top)) + 1
@@ -158,17 +160,15 @@ def window_end_positions(index: PartitionIndex, n: int) -> np.ndarray:
     return ends
 
 
-def starred_variants(
-    seq: BasicSequence, E, block, n: int, *, index: PartitionIndex | None = None
-) -> tuple[Fraction, int]:
+def starred_variants(seq: BasicSequence, E, block, n: int) -> tuple[Fraction, int]:
     """Expected and observed counts restricted to occurrences that fit
     entirely inside a single base window."""
     b = _as_block(block)
     check_position(n)
     k = len(b)
-    pi = index or PartitionIndex(seq)
     mask, prods = _window_masses(seq.bases(1, n + k - 1), b, n)
-    inside = np.arange(1, n + 1, dtype=np.int64) + (k - 1) <= window_end_positions(pi, n)
+    ends = window_end_positions(PartitionIndex(seq), n)
+    inside = np.arange(1, n + 1, dtype=np.int64) + (k - 1) <= ends
     q_star = _mass_sums(mask & inside, prods, [n])[0]
     digits = _digit_buffer(E, n + k - 1)
     n_star = int((match_mask(digits, b, n) & inside).sum())
@@ -246,7 +246,7 @@ def parse_block(text: str) -> tuple:
     try:
         return tuple(int(d) for d in text.replace("-", ",").split(",") if d != "")
     except ValueError as exc:
-        raise ArgumentError(f"bad block {text!r}") from exc
+        raise ArgumentError(f"bad block {excerpt(text)}") from exc
 
 
 def normality_report(
@@ -262,7 +262,7 @@ def normality_report(
     blocks = [_as_block(b) for b in blocks]
     cps = sorted({int(n) for n in checkpoints})
     if not cps or cps[0] < 1:
-        raise ArgumentError(f"checkpoints must be >= 1, got {checkpoints}")
+        raise ArgumentError(f"checkpoints must be >= 1, got {excerpt(checkpoints)}")
     report = ConvergenceReport()
     observed: dict[tuple, list[int]] = {}
     bases = seq.bases(1, cps[-1] + max(map(len, blocks), default=1) - 1)
@@ -317,7 +317,7 @@ def growth_diagnostic(seq: BasicSequence, block, checkpoints) -> GrowthDiagnosti
     b = _as_block(block)
     cps = sorted({int(n) for n in checkpoints})
     if any(n < 1 for n in cps):
-        raise ArgumentError(f"checkpoints must be >= 1, got {checkpoints}")
+        raise ArgumentError(f"checkpoints must be >= 1, got {excerpt(checkpoints)}")
     rows: list[GrowthRow] = []
     best = -math.inf
     cps = [n for n in cps if n > 1]

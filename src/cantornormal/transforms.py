@@ -264,15 +264,10 @@ class Schedule:
     """
 
     def __init__(
-        self,
-        target: BasicSequence,
-        *,
-        donor: BasicSequence | None = None,
-        ud: UDSource | None = None,
-        log_base: str = "e",
+        self, target: BasicSequence, *, ud: UDSource | None = None, log_base: str = "e"
     ):
         self.target = target
-        self.donor = donor or IndexLogSequence(log_base)
+        self.donor = IndexLogSequence(log_base)
         self.donor_digits = constructed_digits(self.donor)
         self.ud = ud or UDSource("vdc")
         self.log_base = log_base

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .digitseq import DigitSequence, check_digit_range
-from .errors import ArgumentError, InsufficientDigitsError, RefinementError
+from .errors import ArgumentError, InsufficientDigitsError, RefinementError, excerpt
 from .sequences import BasicSequence
 
 DEFAULT_REFINE_CAP = 64
@@ -100,39 +100,32 @@ def mod1_scale(x: Fraction, factors) -> Fraction:
     return y % 1
 
 
-def to_base_b(
-    E: DigitSequence,
-    base: int,
-    count: int,
-    *,
-    refine_cap: int = DEFAULT_REFINE_CAP,
-    min_prefix: int = 0,
-) -> list[int]:
+def to_base_b(E: DigitSequence, base: int, count: int) -> list[int]:
     """The first `count` base-b digits of the number behind the stream.
 
     A digit is emitted once both endpoints of the prefix interval agree on
     it, so every digit is proven. Stream digits are consumed as needed, at
-    most `refine_cap` fresh ones per output digit before giving up (the
-    number may sit exactly on a base-b boundary, which no finite refinement
-    can decide). `min_prefix` forces at least that many stream digits to be
-    consumed up front, which is useful for reproducibility checks.
+    most DEFAULT_REFINE_CAP fresh ones per output digit before giving up
+    (the number may sit exactly on a base-b boundary, which no finite
+    refinement can decide).
 
     The digits come from one certified pass: the prefix grows in steps of
-    (refine_cap + 1) // 2 stream digits, each step counting the leading
-    digits its endpoints share, until all `count` agree; they are then split
-    off one big integer. Running out of refine_cap needs that count to stay
-    flat over refine_cap + 1 consecutive prefix lengths, which hold two step
-    ends; only where a step shows no rise, or would pass the end of a finite
-    stream, is the prefix walked one stream digit at a time. So the digits,
-    and any RefinementError with its message, are those of consuming one
-    stream digit at a time, and a stream too short for that raises
-    InsufficientDigitsError here as well.
+    (DEFAULT_REFINE_CAP + 1) // 2 stream digits, each step counting the
+    leading digits its endpoints share, until all `count` agree; they are
+    then split off one big integer. Running out of the cap needs that count
+    to stay flat over cap + 1 consecutive prefix lengths, which hold two
+    step ends; only where a step shows no rise, or would pass the end of a
+    finite stream, is the prefix walked one stream digit at a time. So the
+    digits, and any RefinementError with its message, are those of
+    consuming one stream digit at a time, and a stream too short for that
+    raises InsufficientDigitsError here as well.
     """
     if base < 2:
-        raise ArgumentError(f"output base must be >= 2, got {base}")
+        raise ArgumentError(f"output base must be >= 2, got {excerpt(base)}")
     if count < 1:
-        raise ArgumentError(f"digit count must be >= 1, got {count}")
-    step = max((refine_cap + 1) // 2, 1)
+        raise ArgumentError(f"digit count must be >= 1, got {excerpt(count)}")
+    refine_cap = DEFAULT_REFINE_CAP
+    step = (refine_cap + 1) // 2
 
     def extend(p: _Prefix, m: int) -> _Prefix:
         # E.prefix raises InsufficientDigitsError past a finite stream's end
@@ -145,9 +138,7 @@ def to_base_b(
             f"{m} stream digits; the value may lie on a base boundary"
         )
 
-    cur = extend(_Prefix(0, 0, 1, base, count), max(min_prefix, 0))
-    if refine_cap < 1 and cur.certified < count:
-        raise stuck(cur, cur.m)
+    cur = _Prefix(0, 0, 1, base, count)
     last = None  # the previous prefix evaluated; it certifies fewer digits than cur
     while cur.certified < count:
         try:

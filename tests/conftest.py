@@ -16,9 +16,9 @@ def c2_index(c2):
 
 
 @pytest.fixture(scope="session")
-def c2_digits_1m(c2, c2_index):
+def c2_digits_1m(c2):
     """Digits 1..10**6 + 1 of the construction over constant:2."""
-    return generate_digits(c2, 10**6 + 1, index=c2_index)
+    return generate_digits(c2, 10**6 + 1)
 
 
 @pytest.fixture(scope="session")

@@ -56,10 +56,8 @@ def test_criterion_01_oracle_equivalence():
     for spec in specs:
         seq = parse_sequence_spec(spec)
         pi = PartitionIndex(seq)
-        bulk = generate_digits(seq, 20000, index=pi)
-        streamed = np.fromiter(
-            itertools.islice(digit_stream(seq, index=pi), 20000), dtype=np.int64
-        )
+        bulk = generate_digits(seq, 20000)
+        streamed = np.fromiter(itertools.islice(digit_stream(seq), 20000), dtype=np.int64)
         mismatches += int((bulk != streamed).sum())
         positions = itertools.chain(range(1, 2001), range(2001, 20001, 37))
         for n in positions:
@@ -101,7 +99,7 @@ def test_criterion_02_construction_ladder(c2, c2_index):
 # -- 3: cycling completeness --------------------------------------------------
 
 def test_criterion_03_cycling_completeness(c2, c2_index):
-    digits = generate_digits(c2, 10**5, index=c2_index)
+    digits = generate_digits(c2, 10**5)
     ok = True
     checked = 0
     for r in (2, 3):
@@ -165,13 +163,13 @@ def test_criterion_04_block_count_trend(c2, c2_digits_1m):
 # -- 5: orbit distribution trend ----------------------------------------------
 
 def test_criterion_05_orbit_distribution(c2, c2_index):
-    E = constructed_digits(c2, index=c2_index)
+    E = constructed_digits(c2)
     # certified deep evaluation (error <= 2**-24 per point)
-    report = orbit_discrepancy_report(c2, E, [10**3, 10**4, 10**5], depth=24, index=c2_index)
+    report = orbit_discrepancy_report(c2, E, [10**3, 10**4, 10**5], depth=24)
     stars = [r.d_star for r in report.rows]
     eps_ok = all(r.max_eps <= 2**-24 for r in report.rows)
     # soundness of the default square-root truncation depth and its bound
-    values, eps = orbit_values(c2, E, 4000, index=c2_index)
+    values, eps = orbit_values(c2, E, 4000)
     for m in range(0, 4000, 211):
         eps_ok &= eps[m] <= 2.0 ** -truncation_depth(c2_index, m)
     ok = stars[0] > stars[1] > stars[2] and stars[2] <= 0.05 and eps_ok
@@ -236,10 +234,9 @@ def test_criterion_07_clip_laws():
 
 def test_criterion_08_orbit_sink(log_preset):
     y = build_orbit_sink(log_preset)
-    pi = PartitionIndex(log_preset)
     values = []
     for n in (10**3, 10**4, 10**5):
-        pt = orbit_truncated(log_preset, y, n, depth=12, index=pi)
+        pt = orbit_truncated(log_preset, y, n, depth=12)
         assert pt.eps <= Fraction(1, 2**24)
         values.append(float(pt.value))
     ok = values[0] > values[1] > values[2] and values[2] <= 0.25
@@ -295,9 +292,8 @@ def test_criterion_10_digit_extraction(c2):
     t0 = time.monotonic()
     digits = to_base_b(constructed_digits(c2), 10, 50)
     elapsed = time.monotonic() - t0
-    again = to_base_b(constructed_digits(c2), 10, 50, min_prefix=800)
     lo = prefix_value(c2, constructed_digits(c2).prefix(800)).lower
     oracle = [int(ch) for ch in str(lo.numerator * 10**50 // lo.denominator).zfill(50)]
-    ok = digits == again == oracle and elapsed < 5
+    ok = digits == oracle and elapsed < 5
     _report(10, "proven digit extraction", ok,
-            f"50 digits in {elapsed * 1000:.0f}ms, reproduced with 4x prefix")
+            f"50 digits in {elapsed * 1000:.0f}ms, equal to those of an 800-digit prefix")

@@ -180,7 +180,8 @@ BAD_SEQ_JSON = ['{"kind":"constant"}', '{"kind":"preset"}', '{"kind":"pointwise"
      "non-integer-digit",
      "digit-file-is-dir", "all-blocks-too-long", "all-blocks-too-many",
      "negative-oracle-check", "seq-file-is-dir", "seq-file-not-utf8",
-     "diagnose-one-checkpoint", "diagnose-one-checkpoint-above-1"]
+     "diagnose-one-checkpoint", "diagnose-one-checkpoint-above-1",
+     "huge-constant", "huge-periodic", "huge-checkpoints", "huge-depth", "long-count"]
     + [f"digit-json {text}" for text in BAD_DIGIT_JSON_FILES]
     + [f"json-seq {text}" for text in BAD_SEQ_JSON],
 )
@@ -230,10 +231,21 @@ def test_bad_input_exits_2(capsys, tmp_path, case):
                                     "--checkpoints", "1"),
         "diagnose-one-checkpoint-above-1": ("diagnose", "--seq", "constant:2", "--block", "0",
                                             "--checkpoints", "1,100,100"),
+        # the message quotes at most the first 60 characters of the input
+        "huge-constant": ("digits", "--seq", f"constant:{huge}", "--count", "4"),
+        "huge-periodic": ("digits", "--seq", f"periodic:2,{huge}", "--count", "4"),
+        "huge-checkpoints": ("stats", "--seq", "constant:2", "--blocks", "0",
+                             "--checkpoints", huge),
+        "huge-depth": ("discrepancy", "--seq", "constant:2", "--depth", f"fixed:{huge}",
+                       "--checkpoints", "10"),
+        "long-count": ("digits", "--seq", "constant:2", "--count", "-" + "9" * 4000),
     }[kind]
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert "error[argument]" in err
+    assert len(err) < 1024
+    if kind == "huge-int-digit-file":
+        assert "bad JSON" in err  # the parse error, not a missing key
 
 
 def test_scan_bound_exit_code(capsys, monkeypatch):

@@ -1,5 +1,5 @@
 """Random command lines through the CLI in process: every one must end with
-exit code 0, 2 or 3 and raise nothing else."""
+exit code 0, 2 or 3, raise nothing else and print no error line of 1 KB or more."""
 
 import contextlib
 import io
@@ -13,12 +13,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from cantornormal.cli import TARGETS, main
 
 HUGE = "9" * 5000  # an integer past Python's 4300-digit int-parsing limit
+LONG = "-" + "9" * 4000  # an integer Python still parses, 4 KB of text
 BASE = st.integers(min_value=2, max_value=12)
 ANY_INT = st.integers(min_value=-3, max_value=12)
 # counts, checkpoints and digit budgets stay small so the suite runs in seconds
 SIZE = st.integers(min_value=1, max_value=2000)
 BAD_SIZE = st.one_of(st.integers(min_value=-5, max_value=0).map(str),
-                     st.sampled_from(["x", "1.5", "1e3", "", HUGE]))
+                     st.sampled_from(["x", "1.5", "1e3", "", HUGE, LONG]))
 
 
 def mostly(draw, valid, invalid):
@@ -130,7 +131,8 @@ def command_line(draw, files):
             draw,
             st.one_of(st.sampled_from(["default", "paper"]),
                       st.integers(min_value=1, max_value=30).map(lambda d: f"fixed:{d}")),
-            st.one_of(st.sampled_from(["fixed:x", "bogus", "fixed:", f"fixed:{HUGE}"]),
+            st.one_of(st.sampled_from(["fixed:x", "bogus", "fixed:", f"fixed:{HUGE}",
+                                       f"fixed:{LONG}"]),
                       st.integers(min_value=-2, max_value=70).map(lambda d: f"fixed:{d}")),
         )
         argv += ["--depth", depth, "--checkpoints", checkpoint_list(draw)]
@@ -164,12 +166,15 @@ class _Files:
 
 
 def run_main(argv) -> int:
+    """main's exit code; every line it writes to stderr must be under 1 KB."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            return main(argv)
+            code = main(argv)
         except SystemExit as exc:  # argparse usage errors and --version
             return exc.code
+    assert all(len(line.encode()) < 1024 for line in err.getvalue().splitlines()), argv
+    return code
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -16,6 +16,7 @@ from cantornormal import (
     digit_stream,
     generate_digits,
 )
+from cantornormal import generator
 from cantornormal.ladder import PartitionIndex, block_from_index
 
 
@@ -40,16 +41,15 @@ def test_digit_at_examples(c2, p23):
 
 def test_stream_matches_bulk(c2, p23, iterated_log):
     for seq in (c2, p23, iterated_log):
-        pi = PartitionIndex(seq)
-        bulk = generate_digits(seq, 3000, index=pi)
-        streamed = list(itertools.islice(digit_stream(seq, index=pi), 3000))
+        bulk = generate_digits(seq, 3000)
+        streamed = list(itertools.islice(digit_stream(seq), 3000))
         assert bulk.tolist() == streamed
 
 
 def test_oracle_matches_bulk_sampled(p23, iterated_log):
     for seq in (p23, iterated_log):
         pi = PartitionIndex(seq)
-        bulk = generate_digits(seq, 1500, index=pi)
+        bulk = generate_digits(seq, 1500)
         for n in range(1, 1501, 7):
             assert digit_at(seq, n, index=pi) == int(bulk[n - 1]), (seq, n)
 
@@ -62,8 +62,8 @@ def test_oracle_matches_bulk_sampled(p23, iterated_log):
 def test_three_routes_agree_on_random_sequences(kind, bases, count, data):
     seq = kind(bases)
     pi = PartitionIndex(seq)
-    bulk = generate_digits(seq, count, index=pi)
-    assert list(itertools.islice(digit_stream(seq, index=pi), count)) == bulk.tolist()
+    bulk = generate_digits(seq, count)
+    assert list(itertools.islice(digit_stream(seq), count)) == bulk.tolist()
     for n in data.draw(st.lists(st.integers(min_value=1, max_value=count), max_size=8)) + [count]:
         assert digit_at(seq, n, index=pi) == int(bulk[n - 1]), (seq, n)
 
@@ -77,7 +77,7 @@ def test_digit_admissibility(iterated_log):
 
 
 def test_cycling_completeness(c2, c2_index):
-    d = generate_digits(c2, 10**5, index=c2_index)
+    d = generate_digits(c2, 10**5)
     for r in (2, 3):
         lo, hi = c2_index.region(r)
         nwin = (hi - lo) // r
@@ -93,7 +93,7 @@ def test_mixed_windows_cycle_separately(p23):
     # the length-1 region holds two distinct windows; each cycles on its own
     pi = PartitionIndex(p23)
     lo, hi = pi.region(1)
-    d = generate_digits(p23, hi, index=pi)
+    d = generate_digits(p23, hi)
     for parity, base in ((0, 2), (1, 3)):
         positions = [n for n in range(lo + 1, hi + 1) if (n - 1) % 2 == parity]
         expected = [(k % base) for k in range(len(positions))]
@@ -106,13 +106,33 @@ def test_generate_count_validation(c2):
     assert generate_digits(c2, 0).size == 0
 
 
-def test_occurrence_counters_spill():
-    counters = OccurrenceCounters(spill_limit=2)
-    assert counters.bump(1, (2,)) == 1
-    assert counters.bump(1, (3,)) == 1
-    assert counters.bump(1, (2,)) == 2
+def test_occurrence_counters_spill(monkeypatch):
+    monkeypatch.setattr(generator, "DEFAULT_SPILL_LIMIT", 2)
+    counters = OccurrenceCounters()
+    assert counters.bump((2,)) == 1
+    assert counters.bump((3,)) == 1
+    assert counters.bump((2,)) == 2
     with pytest.raises(CounterSpillError):
-        counters.bump(1, (4,))
+        counters.bump((4,))
+
+
+@pytest.mark.parametrize("limit", [1, 2])
+def test_both_routes_count_the_spill_limit_per_region(monkeypatch, c2, p23, limit):
+    # constant:2 has one distinct window per region, so it never spills;
+    # periodic:2,3 has two in region 1, one more than the limit 1
+    monkeypatch.setattr(generator, "DEFAULT_SPILL_LIMIT", limit)
+    assert list(itertools.islice(digit_stream(c2), 700)) == generate_digits(c2, 700).tolist()
+    if limit == 1:
+        with pytest.raises(CounterSpillError):
+            generate_digits(p23, 700)
+        with pytest.raises(CounterSpillError):
+            list(itertools.islice(digit_stream(p23), 700))
+
+
+def test_digit_at_refuses_an_index_of_another_sequence(c2, p23):
+    with pytest.raises(ArgumentError, match="another sequence"):
+        digit_at(c2, 1039, index=PartitionIndex(p23))
+    assert digit_at(c2, 1039, index=PartitionIndex(ConstantSequence(2))) == digit_at(c2, 1039)
 
 
 def test_stream_direct_window_walk_against_manual(c2):

@@ -93,8 +93,9 @@ def test_boundary_divisibility(c2_index, iterated_log):
             assert hi < pi.ladder_index(r + 1)
 
 
-def test_scan_bound_error():
-    pi = PartitionIndex(ConstantSequence(2), scan_bound=10)
+def test_scan_bound_error(monkeypatch):
+    monkeypatch.setenv("CANTORNORMAL_SCAN_BOUND", "10")
+    pi = PartitionIndex(ConstantSequence(2))
     assert pi.ladder_index(1) == 5
     with pytest.raises(ScanBoundError):
         pi.ladder_index(2)

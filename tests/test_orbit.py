@@ -126,42 +126,42 @@ def test_sample_domain_validated():
 
 
 def test_orbit_point_examples(c2, c2_index):
-    E = constructed_digits(c2, index=c2_index)
-    p0 = orbit_truncated(c2, E, 0, depth=1, index=c2_index)
+    E = constructed_digits(c2)
+    p0 = orbit_truncated(c2, E, 0, depth=1)
     assert (p0.value, p0.eps) == (Fraction(0), Fraction(1, 2))
     ones = finite_digits(c2, [1] * 8)
-    p3 = orbit_truncated(c2, ones, 3, depth=2, index=c2_index)
+    p3 = orbit_truncated(c2, ones, 3, depth=2)
     assert (p3.value, p3.eps) == (Fraction(3, 4), Fraction(1, 4))
     # default depth at 200: window length 3, depth 1
     assert c2_index.region_of(200) == 3
     assert truncation_depth(c2_index, 200) == 1
-    p200 = orbit_truncated(c2, E, 200, index=c2_index)
+    p200 = orbit_truncated(c2, E, 200)
     assert p200.value == Fraction(int(E.digit(201)), 2)
     assert p200.eps == Fraction(1, 2)
 
 
 def test_orbit_eps_bound(c2, c2_index):
-    E = constructed_digits(c2, index=c2_index)
+    E = constructed_digits(c2)
     for m in (0, 5, 30, 200, 700, 5000):
         d = truncation_depth(c2_index, m)
-        pt = orbit_truncated(c2, E, m, index=c2_index)
+        pt = orbit_truncated(c2, E, m)
         assert pt.eps <= Fraction(1, 2**d)
 
 
-def test_truncation_soundness(c2, c2_index):
-    E = constructed_digits(c2, index=c2_index)
+def test_truncation_soundness(c2):
+    E = constructed_digits(c2)
     rng = np.random.default_rng(9)
     for m in rng.integers(0, 5000, size=40):
-        shallow = orbit_truncated(c2, E, int(m), index=c2_index)
-        deep = orbit_truncated(c2, E, int(m), depth=24, index=c2_index)
+        shallow = orbit_truncated(c2, E, int(m))
+        deep = orbit_truncated(c2, E, int(m), depth=24)
         assert abs(shallow.value - deep.value) <= shallow.eps
 
 
-def test_orbit_values_bulk_matches_single(c2, c2_index):
-    E = constructed_digits(c2, index=c2_index)
-    values, eps = orbit_values(c2, E, 400, index=c2_index)
+def test_orbit_values_bulk_matches_single(c2):
+    E = constructed_digits(c2)
+    values, eps = orbit_values(c2, E, 400)
     for m in range(0, 400, 17):
-        pt = orbit_truncated(c2, E, m, index=c2_index)
+        pt = orbit_truncated(c2, E, m)
         assert values[m] == pytest.approx(float(pt.value), abs=1e-15)
         assert eps[m] == pytest.approx(float(pt.eps), abs=1e-15)
 
@@ -192,9 +192,9 @@ def test_discrepancy_report_all_zero_digits(c2):
     assert report.rows[0].d_extreme >= 1 - 1 / 100
 
 
-def test_discrepancy_report_decreasing_for_construction(c2, c2_index):
-    E = constructed_digits(c2, index=c2_index)
-    report = orbit_discrepancy_report(c2, E, [10**3, 10**4], depth=20, index=c2_index)
+def test_discrepancy_report_decreasing_for_construction(c2):
+    E = constructed_digits(c2)
+    report = orbit_discrepancy_report(c2, E, [10**3, 10**4], depth=20)
     d = [r.d_star for r in report.rows]
     assert d[1] < d[0]
     assert all(r.max_eps <= 2**-20 for r in report.rows)
@@ -239,19 +239,19 @@ def test_one_sort_discrepancies_equal_two_sort_formulas(xs):
         assert extreme_discrepancy(sample) == _extreme_reference(xs)
 
 
-def test_report_rows_equal_two_sort_formulas(c2, c2_index, log_preset):
-    E = constructed_digits(c2, index=c2_index)
+def test_report_rows_equal_two_sort_formulas(c2, log_preset):
+    E = constructed_digits(c2)
     zeros = finite_digits(c2, [0] * 200)
     cases = [
-        (c2, E, 24, c2_index),
-        (c2, E, 3, c2_index),  # 8 distinct values: many ties
-        (c2, zeros, 2, c2_index),  # every sample exactly 0.0
-        (log_preset, constructed_digits(log_preset), None, None),
+        (c2, E, 24),
+        (c2, E, 3),  # 8 distinct values: many ties
+        (c2, zeros, 2),  # every sample exactly 0.0
+        (log_preset, constructed_digits(log_preset), None),
     ]
-    for seq, stream, depth, index in cases:
+    for seq, stream, depth in cases:
         cps = [1, 2, 17, 100, 150] if stream is zeros else [1, 2, 17, 1000, 4096, 5000]
-        report = orbit_discrepancy_report(seq, stream, cps + [1], depth=depth, index=index)
-        values, _ = orbit_values(seq, stream, max(cps), depth=depth, index=index)
+        report = orbit_discrepancy_report(seq, stream, cps + [1], depth=depth)
+        values, _ = orbit_values(seq, stream, max(cps), depth=depth)
         assert [row.n for row in report.rows] == sorted(set(cps))
         for row in report.rows:
             assert row.d_star == _star_reference(values[: row.n])

@@ -141,11 +141,11 @@ def test_single_digit_counts_partition_positions(c2):
     assert total == n
 
 
-def test_starred_examples(c2, c2_index):
-    E = constructed_digits(c2, index=c2_index)
-    assert starred_variants(c2, E, [0], 24, index=c2_index) == (Fraction(12), 12)
-    assert starred_variants(c2, E, [0, 1], 24, index=c2_index) == (Fraction(0), 0)
-    q_star, n_star = starred_variants(c2, E, [0, 1], 124, index=c2_index)
+def test_starred_examples(c2):
+    E = constructed_digits(c2)
+    assert starred_variants(c2, E, [0], 24) == (Fraction(12), 12)
+    assert starred_variants(c2, E, [0, 1], 24) == (Fraction(0), 0)
+    q_star, n_star = starred_variants(c2, E, [0, 1], 124)
     assert q_star == Fraction(25, 2)
     # brute scan over the 50 length-2 windows
     digits = E.prefix(125)
@@ -158,11 +158,11 @@ def test_starred_examples(c2, c2_index):
 
 
 def test_starred_bounds(c2, c2_index):
-    E = constructed_digits(c2, index=c2_index)
+    E = constructed_digits(c2)
     for block in ([0], [0, 1], [1, 1, 0]):
         k = len(block)
         for n in (24, 124, 622, 3122):
-            q_star, n_star = starred_variants(c2, E, block, n, index=c2_index)
+            q_star, n_star = starred_variants(c2, E, block, n)
             q_full = expected_count(c2, block, n)
             n_full = count_block(E, block, n)
             assert q_star <= q_full

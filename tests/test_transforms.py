@@ -194,9 +194,13 @@ def test_log_mass_monotone_stop():
 
 
 def test_count_threshold_example():
-    s = Schedule(ConstantSequence(4), donor=ConstantSequence(2))
-    assert s.count_threshold(1, 1) == 1
-    assert s.count_threshold_predicate(1, 1, 1)
+    # the goal for each one-digit block is 1 * 1/4; the donor index-log
+    # first reaches base 4 at position 8, so block (3) has donor count 1/4
+    # at 8 (not above the goal) and 1/4 + 2/4 at 9
+    s = Schedule(ConstantSequence(4))
+    assert s.count_threshold(1, 1) == 9
+    assert s.count_threshold_predicate(1, 1, 9)
+    assert not s.count_threshold_predicate(1, 1, 8)
     with pytest.raises(ArgumentError):
         s.count_threshold(1, 2)  # block length above the step
 

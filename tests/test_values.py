@@ -1,5 +1,6 @@
 import hashlib
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +20,7 @@ from cantornormal import (
     prefix_value,
     to_base_b,
 )
+from cantornormal import values
 from cantornormal.cli import main
 from cantornormal.values import base_digits
 
@@ -141,7 +143,7 @@ def test_to_base_b_against_exact_rational(c2):
 
 def test_to_base_b_longer_prefix_reproduces(c2):
     a = to_base_b(constructed_digits(c2), 10, 50)
-    b = to_base_b(constructed_digits(c2), 10, 50, min_prefix=800)
+    b = _to_base_b_reference(constructed_digits(c2), 10, 50, min_prefix=800)
     assert a == b
 
 
@@ -166,11 +168,12 @@ def test_to_base_b_output_within_final_interval(c2):
     assert iv.lower - Fraction(1, 10**count) <= value <= iv.upper
 
 
-def test_to_base_b_boundary_ambiguity(c2):
+def test_to_base_b_boundary_ambiguity(c2, monkeypatch):
     # all-max tail: the value sits exactly on a base boundary forever
+    monkeypatch.setattr(values, "DEFAULT_REFINE_CAP", 16)
     stuck = finite_digits(c2, [1] * 400)
     with pytest.raises(RefinementError):
-        to_base_b(stuck, 2, 3, refine_cap=16)
+        to_base_b(stuck, 2, 3)
 
 
 def test_to_base_b_validation(c2):
@@ -203,15 +206,13 @@ def _stream(kind, pattern, digits, tail):
     tail=st.sampled_from(["zeros", "max"]),
     base=st.integers(2, 16),
     count=st.integers(1, 60),
-    refine_cap=st.integers(-1, 12),
-    min_prefix=st.integers(0, 40),
+    refine_cap=st.integers(1, 12),
 )
-def test_to_base_b_matches_reference(kind, pattern, digits, tail, base, count,
-                                     refine_cap, min_prefix):
-    args = (base, count)
-    kwargs = {"refine_cap": refine_cap, "min_prefix": min_prefix}
-    got = _outcome(to_base_b, _stream(kind, pattern, digits, tail), *args, **kwargs)
-    want = _outcome(_to_base_b_reference, _stream(kind, pattern, digits, tail), *args, **kwargs)
+def test_to_base_b_matches_reference(kind, pattern, digits, tail, base, count, refine_cap):
+    with mock.patch.object(values, "DEFAULT_REFINE_CAP", refine_cap):
+        got = _outcome(to_base_b, _stream(kind, pattern, digits, tail), base, count)
+    want = _outcome(_to_base_b_reference, _stream(kind, pattern, digits, tail), base, count,
+                    refine_cap=refine_cap)
     assert got == want
 
 
@@ -221,8 +222,9 @@ def test_to_base_b_long_output_matches_reference(seq):
     E = constructed_digits(seq)
     assert to_base_b(E, 10, 700) == _to_base_b_reference(E, 10, 700)
     for cap in (3, 6):
-        assert _outcome(to_base_b, E, 13, 300, refine_cap=cap) == _outcome(
-            _to_base_b_reference, E, 13, 300, refine_cap=cap)
+        with mock.patch.object(values, "DEFAULT_REFINE_CAP", cap):
+            got = _outcome(to_base_b, E, 13, 300)
+        assert got == _outcome(_to_base_b_reference, E, 13, 300, refine_cap=cap)
 
 
 @pytest.mark.parametrize("seq, base, count", [
