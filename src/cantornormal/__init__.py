@@ -57,7 +57,6 @@ from .transforms import (
     build_orbit_sink,
     build_patched_uniform,
     build_half_range,
-    donor_divergent,
     clip_digits,
     clip_chain,
     ud_source,

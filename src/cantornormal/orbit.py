@@ -23,8 +23,8 @@ from .kernels import orbit_numbers
 from .ladder import PartitionIndex
 from .sequences import BasicSequence
 
-# orbit indices per block of orbit_values: keeps the kernel's per-step
-# temporaries at a few MB however many points are asked for
+# orbit indices per block of orbit_values and of the discrepancy tail: keeps
+# the per-step temporaries at a few MB however many points are asked for
 _ORBIT_CHUNK = 1 << 16
 # the float below 1: a value num/den < 1 past 53 bits of den can round up to 1.0
 _BELOW_ONE = np.nextafter(1.0, 0.0)
@@ -153,22 +153,30 @@ def _exact_values(values) -> list[Fraction] | None:
     return None
 
 
-def _sorted_sample_discrepancies(values) -> tuple[float, float]:
-    """Star and extreme discrepancy of a float sample from one sort.
+def _sorted_discrepancies(xs: np.ndarray) -> tuple[float, float]:
+    """Star and extreme discrepancy of a sorted float sample.
 
-    With d_i = i/N - x_(i) over the sorted sample, the star discrepancy is
-    max(max d_i, 1/N - min d_i) and the extreme one 1/N + max d_i - min d_i.
+    With d_i = i/N - x_(i), the star discrepancy is max(max d_i, 1/N - min d_i)
+    and the extreme one 1/N + max d_i - min d_i. The d_i are formed in blocks
+    of _ORBIT_CHUNK, so no length-N temporary is made.
     """
-    xs = np.sort(np.asarray(values, dtype=np.float64))
     n = xs.size
     if n < 1:
         raise ArgumentError("discrepancy needs at least one sample")
     _check_unit(xs)
-    diffs = np.arange(1, n + 1, dtype=np.float64)
-    diffs /= n
-    diffs -= xs
-    low, high = diffs.min(), diffs.max()
+    low, high = np.inf, -np.inf
+    for lo in range(0, n, _ORBIT_CHUNK):
+        hi = min(lo + _ORBIT_CHUNK, n)
+        diffs = np.arange(lo + 1, hi + 1, dtype=np.float64)
+        diffs /= n
+        diffs -= xs[lo:hi]
+        low, high = min(low, diffs.min()), max(high, diffs.max())
     return float(max(high, 1.0 / n - low)), float(1.0 / n + high - low)
+
+
+def _sample_discrepancies(values) -> tuple[float, float]:
+    """Star and extreme discrepancy of a float sample from one sort."""
+    return _sorted_discrepancies(np.sort(np.asarray(values, dtype=np.float64)))
 
 
 def star_discrepancy(values):
@@ -185,7 +193,7 @@ def star_discrepancy(values):
             max(Fraction(i, n) - x, x - Fraction(i - 1, n))
             for i, x in enumerate(xs, start=1)
         )
-    return _sorted_sample_discrepancies(values)[0]
+    return _sample_discrepancies(values)[0]
 
 
 def extreme_discrepancy(values):
@@ -198,7 +206,7 @@ def extreme_discrepancy(values):
         xs = sorted(exact)
         diffs = [Fraction(i, n) - x for i, x in enumerate(xs, start=1)]
         return Fraction(1, n) + max(diffs) - min(diffs)
-    return _sorted_sample_discrepancies(values)[1]
+    return _sample_discrepancies(values)[1]
 
 
 def _check_unit(values) -> None:
@@ -247,8 +255,12 @@ def orbit_discrepancy_report(
     if not cps or cps[0] < 1:
         raise ArgumentError(f"checkpoints must be >= 1, got {excerpt(checkpoints)}")
     values, eps = orbit_values(seq, E, max(cps), depth=depth)
-    rows = [
-        DiscrepancyRow(n, *_sorted_sample_discrepancies(values[:n]), float(eps[:n].max()))
-        for n in cps
-    ]
+    rows = []
+    for n in cps:
+        if n < values.size:
+            xs = np.sort(values[:n])
+        else:  # the last checkpoint is the last use of values: sort it in place
+            values.sort()
+            xs = values
+        rows.append(DiscrepancyRow(n, *_sorted_discrepancies(xs), float(eps[:n].max())))
     return DiscrepancyReport("default" if depth is None else f"fixed:{depth}", rows)

@@ -25,7 +25,7 @@ _POSITION_BIT_CAP = 10**7  # refuse positions that need more bits than this
 
 def check_position(n: int) -> None:
     if n < 1:
-        raise ArgumentError(f"positions are 1-based, got {n}")
+        raise ArgumentError(f"positions are 1-based, got {excerpt(n)}")
 
 
 def floor_log2(v: int) -> int:
@@ -143,21 +143,24 @@ class BasicSequence:
         it in closed form."""
         raise ArgumentError(f"no closed-form position search for {self.spec_string()}")
 
-    def bases(self, lo: int, hi: int) -> np.ndarray:
-        """Bases at positions lo..hi inclusive, as int64: one run per base
-        value, each run starting at that value's first_position. Kinds that
-        are not nondecreasing override this."""
+    def base_runs(self, lo: int, hi: int) -> list[tuple[int, int, int]]:
+        """Positions lo..hi as runs of constant base, for nondecreasing kinds:
+        (start, stop, base) with stop exclusive, one per base value that
+        occurs there, each starting at that value's first_position."""
         check_position(lo)
         if hi < lo:
-            return np.empty(0, dtype=np.int64)
+            return []
         first, last = self.base_at(lo), self.base_at(hi)
         starts = [lo] + [self.first_position(c) for c in range(first + 1, last + 1)] + [hi + 1]
-        return np.repeat(np.arange(first, last + 1, dtype=np.int64),
-                         [b - a for a, b in zip(starts, starts[1:])])
+        return [(a, b, c) for c, (a, b) in enumerate(zip(starts, starts[1:]), start=first)
+                if b > a]
 
-    def eventual_period(self) -> tuple[int, int] | None:
-        """(offset, period) from which the bases repeat, for bounded kinds."""
-        return None
+    def bases(self, lo: int, hi: int) -> np.ndarray:
+        """Bases at positions lo..hi inclusive, as int64, repeated out of
+        base_runs. Kinds that are not nondecreasing override this."""
+        runs = self.base_runs(lo, hi)
+        return np.repeat(np.array([c for _, _, c in runs], dtype=np.int64),
+                         [b - a for a, b, _ in runs])
 
     def running_max(self, n: int) -> int:
         """Largest base among the first n positions."""
@@ -198,9 +201,6 @@ class ConstantSequence(BasicSequence):
             raise ArgumentError(f"{self.spec_string()} never reaches base {c}")
         return 1
 
-    def eventual_period(self) -> tuple[int, int]:
-        return 0, 1
-
     def to_json(self) -> dict:
         return {"kind": "constant", "b": self.b}
 
@@ -232,9 +232,6 @@ class PeriodicSequence(BasicSequence):
     def running_max(self, n: int) -> int:
         check_position(n)
         return self._prefix_max[min(n, len(self.pattern)) - 1]
-
-    def eventual_period(self) -> tuple[int, int]:
-        return 0, len(self.pattern)
 
     def to_json(self) -> dict:
         return {"kind": "periodic", "bases": self.pattern}
@@ -277,9 +274,6 @@ class TableSequence(BasicSequence):
     def running_max(self, n: int) -> int:
         check_position(n)
         return self._prefix_max[min(n, len(self.table)) - 1]
-
-    def eventual_period(self) -> tuple[int, int]:
-        return len(self.table), 1
 
     def to_json(self) -> dict:
         return {"kind": "table", "bases": self.table, "extend": self.extend}
@@ -408,9 +402,6 @@ class PointwiseSequence(BasicSequence):
 
     def running_max(self, n: int) -> int:
         return self._apply(self.of.running_max(n))
-
-    def eventual_period(self) -> tuple[int, int] | None:
-        return self.of.eventual_period()
 
     def to_json(self) -> dict:
         return {

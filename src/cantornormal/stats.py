@@ -6,7 +6,9 @@ final ratio columns of reports.
 
 from __future__ import annotations
 
+import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -24,7 +26,7 @@ def _as_block(block) -> tuple:
     if not b:
         raise ArgumentError("blocks must have at least one digit")
     if any(d < 0 for d in b):
-        raise ArgumentError(f"block digits must be non-negative, got {b}")
+        raise ArgumentError(f"block digits must be non-negative, got {excerpt(b)}")
     return b
 
 
@@ -47,12 +49,15 @@ def admissible(seq: BasicSequence, block, i: int) -> int:
     return 1
 
 
+def _check_product_width(top: int, k: int) -> None:
+    if top**k >= 2**63:
+        raise ArgumentError(f"window products of {k} bases up to {top} overflow int64")
+
+
 def _window_masses(bases: np.ndarray, block: tuple, n: int):
     """Admissibility mask over start positions 1..n plus the window products
     q_i * ... * q_{i+k-1}, from bases of positions 1 through at least n+k-1."""
-    top = int(bases.max(initial=1))
-    if top ** len(block) >= 2**63:
-        raise ArgumentError(f"window products of {len(block)} bases up to {top} overflow int64")
+    _check_product_width(int(bases.max(initial=1)), len(block))
     mask = np.ones(n, dtype=bool)
     prods = np.ones(n, dtype=np.int64)
     for j, d in enumerate(block):
@@ -77,8 +82,49 @@ def _mass_sums(mask: np.ndarray, prods: np.ndarray, checkpoints) -> list[Fractio
     return sums
 
 
-def _expected_counts(bases: np.ndarray, block: tuple, checkpoints) -> list[Fraction]:
+def _array_expected_counts(bases: np.ndarray, block: tuple, checkpoints) -> list[Fraction]:
     return _mass_sums(*_window_masses(bases, block, checkpoints[-1]), checkpoints)
+
+
+def _run_expected_counts(runs, block: tuple, checkpoints) -> list[Fraction]:
+    """_array_expected_counts in closed form over the constant-base runs
+    (start, stop, base) of a nondecreasing sequence, covering positions 1
+    through at least n+k-1 for the last checkpoint n.
+
+    A start whose window lies wholly in a run of base c adds c**-k when
+    every block digit is below c; only the k-1 starts before each run's
+    stop need their window's product.
+    """
+    k, top, last = len(block), max(block), checkpoints[-1]
+    _check_product_width(runs[-1][2], k)
+    starts = [s for s, _, _ in runs]
+
+    def base(p: int) -> int:
+        return runs[bisect_right(starts, p) - 1][2]
+
+    pieces = []  # (first start, last start, mass of each start)
+    for start, stop, c in runs:
+        if stop - k >= start and top < c:
+            pieces.append((start, stop - k, Fraction(1, c**k)))
+        for i in range(max(start, stop - k + 1), min(stop, last + 1)):
+            window = [base(i + j) for j in range(k)]
+            if all(d < q for d, q in zip(block, window)):
+                pieces.append((i, i, Fraction(1, math.prod(window))))
+    return [sum(((min(hi, n) - lo + 1) * mass for lo, hi, mass in pieces if lo <= n),
+                Fraction(0))
+            for n in checkpoints]
+
+
+def _expected_counter(seq: BasicSequence, hi: int):
+    """A function (block, ascending checkpoints) -> exact expected counts at
+    each checkpoint, for blocks and checkpoints whose windows end by
+    position hi. It reads the bases of positions 1..hi once: as runs of
+    constant base on a nondecreasing sequence, else as one array."""
+    if seq.nondecreasing:
+        runs = seq.base_runs(1, hi)
+        return lambda block, checkpoints: _run_expected_counts(runs, block, checkpoints)
+    bases = seq.bases(1, hi)
+    return lambda block, checkpoints: _array_expected_counts(bases, block, checkpoints)
 
 
 def expected_count(seq: BasicSequence, block, n: int) -> Fraction:
@@ -86,19 +132,28 @@ def expected_count(seq: BasicSequence, block, n: int) -> Fraction:
     independent uniform digits: sum of 1/(q_i...q_{i+k-1}) over admissible i."""
     b = _as_block(block)
     check_position(n)
-    return _expected_counts(seq.bases(1, n + len(b) - 1), b, [n])[0]
+    return _expected_counter(seq, n + len(b) - 1)(b, [n])[0]
 
 
 _MAX_CANDIDATES = 10**5
+
+
+def _check_candidates(limits: list[int], k: int) -> None:
+    total = math.prod(limits)
+    if total > _MAX_CANDIDATES:
+        raise ArgumentError(f"{total} candidate blocks of length {k}; out of desk range")
 
 
 def admissible_blocks(seq: BasicSequence, k: int, n: int) -> list[tuple]:
     """Every length-k block admissible at some start position 1..n, in
     lexicographic order: the blocks with a nonzero expected count.
 
-    A block is admissible at i when it lies below the base window starting
-    at i, so marking each window's top corner in the grid of candidates and
-    sweeping a suffix OR along every axis marks exactly the admissible ones.
+    On a nondecreasing sequence a block admissible at some i <= n is also
+    admissible at n, so these are the blocks below the base window at n.
+    Otherwise a block is admissible at i when it lies below the base window
+    starting at i, so marking each window's top corner in the grid of
+    candidates and sweeping a suffix OR along every axis marks exactly the
+    admissible ones.
     """
     if k < 1:
         raise ArgumentError(f"block length must be >= 1, got {excerpt(k)}")
@@ -108,11 +163,13 @@ def admissible_blocks(seq: BasicSequence, k: int, n: int) -> list[tuple]:
         raise ArgumentError(
             f"at least 2**k candidate blocks of length k = {excerpt(k)}; out of desk range"
         )
+    if seq.nondecreasing:
+        limits = seq.bases(n, n + k - 1).tolist()
+        _check_candidates(limits, k)
+        return list(itertools.product(*map(range, limits)))
     bases = seq.bases(1, n + k - 1)
     limits = [int(bases[j : j + n].max()) for j in range(k)]
-    total = math.prod(limits)
-    if total > _MAX_CANDIDATES:
-        raise ArgumentError(f"{total} candidate blocks of length {k}; out of desk range")
+    _check_candidates(limits, k)
     grid = np.zeros(limits, dtype=bool)
     grid[tuple(bases[j : j + n] - 1 for j in range(k))] = True
     for axis in range(k):
@@ -243,10 +300,15 @@ def format_block(block) -> str:
 
 
 def parse_block(text: str) -> tuple:
+    """A block from comma- or dash-separated digits; a digit of 2**63 or
+    more is refused, since digit arrays are int64."""
     try:
-        return tuple(int(d) for d in text.replace("-", ",").split(",") if d != "")
+        block = tuple(int(d) for d in text.replace("-", ",").split(",") if d != "")
     except ValueError as exc:
         raise ArgumentError(f"bad block {excerpt(text)}") from exc
+    if any(d >= 2**63 for d in block):
+        raise ArgumentError(f"block digits must be below 2**63, got {excerpt(text)}")
+    return block
 
 
 def normality_report(
@@ -265,11 +327,11 @@ def normality_report(
         raise ArgumentError(f"checkpoints must be >= 1, got {excerpt(checkpoints)}")
     report = ConvergenceReport()
     observed: dict[tuple, list[int]] = {}
-    bases = seq.bases(1, cps[-1] + max(map(len, blocks), default=1) - 1)
+    expected_counts = _expected_counter(seq, cps[-1] + max(map(len, blocks), default=1) - 1)
     for b in blocks:
         counts = count_block_checkpoints(E, b, cps)
         observed[b] = counts
-        expected = _expected_counts(bases, b, cps)
+        expected = expected_counts(b, cps)
         report.expected_growth[b] = expected
         for n, obs, exp in zip(cps, counts, expected):
             ratio = None if exp == 0 else obs / float(exp)
@@ -321,7 +383,7 @@ def growth_diagnostic(seq: BasicSequence, block, checkpoints) -> GrowthDiagnosti
     rows: list[GrowthRow] = []
     best = -math.inf
     cps = [n for n in cps if n > 1]
-    expected = _expected_counts(seq.bases(1, cps[-1] + len(b) - 1), b, cps) if cps else []
+    expected = _expected_counter(seq, cps[-1] + len(b) - 1)(b, cps) if cps else []
     for n, exp in zip(cps, expected):
         qn = seq.running_max(n)
         scale = n * math.log(qn) / math.log(n)

@@ -241,19 +241,6 @@ class ModulusOfDivergence:
 # the threshold schedule and the patched uniform stream
 # ---------------------------------------------------------------------------
 
-def donor_divergent(donor: BasicSequence, block) -> bool:
-    """Whether the donor's expected count of `block` grows without bound."""
-    if donor.infinite_in_limit:
-        return True  # every fixed block is eventually admissible everywhere
-    ev = donor.eventual_period()
-    if ev is None:
-        raise ArgumentError(
-            f"cannot decide expected-count divergence for {donor.spec_string()}"
-        )
-    offset, period = ev
-    return any(admissible(donor, block, offset + i) for i in range(1, period + 1))
-
-
 class Schedule:
     """Threshold schedule driving the patched uniform stream.
 
@@ -319,10 +306,6 @@ class Schedule:
 
     # -- expected-count threshold -------------------------------------------
 
-    def _candidate_blocks(self, n: int, k: int) -> list[tuple]:
-        blocks = admissible_blocks(self.target, k, n)
-        return [b for b in blocks if donor_divergent(self.donor, b)]
-
     def _donor_count(self, block: tuple, m: int) -> Fraction:
         return expected_count(self.donor, block, m) if m >= 1 else Fraction(0)
 
@@ -331,7 +314,7 @@ class Schedule:
         count is below 1/n of the accumulated donor expected counts at j."""
         if not 1 <= k <= n:
             raise ArgumentError(f"block length {k} must lie in 1..{n}")
-        for block in self._candidate_blocks(n, k):
+        for block in admissible_blocks(self.target, k, n):
             goal = n * expected_count(self.target, block, n)
             acc = Fraction(0)
             for i in range(1, j + 1):
@@ -343,11 +326,8 @@ class Schedule:
     def count_threshold(self, n: int, k: int) -> int:
         if not 1 <= k <= n:
             raise ArgumentError(f"block length {k} must lie in 1..{n}")
-        blocks = self._candidate_blocks(n, k)
-        if not blocks:
-            raise ArgumentError(
-                f"no admissible length-{k} block with unbounded donor counts"
-            )
+        # never empty: every base is >= 2, so the all-zero block is admissible
+        blocks = admissible_blocks(self.target, k, n)
         goals = {b: n * expected_count(self.target, b, n) for b in blocks}
         running = {b: Fraction(0) for b in blocks}  # donor count at i-k+1
         acc = {b: Fraction(0) for b in blocks}

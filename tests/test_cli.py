@@ -181,7 +181,8 @@ BAD_SEQ_JSON = ['{"kind":"constant"}', '{"kind":"preset"}', '{"kind":"pointwise"
      "digit-file-is-dir", "all-blocks-too-long", "all-blocks-too-many",
      "negative-oracle-check", "seq-file-is-dir", "seq-file-not-utf8",
      "diagnose-one-checkpoint", "diagnose-one-checkpoint-above-1",
-     "huge-constant", "huge-periodic", "huge-checkpoints", "huge-depth", "long-count"]
+     "huge-constant", "huge-periodic", "huge-checkpoints", "huge-depth", "long-count",
+     "int64-block-digit", "int64-diagnose-digit", "long-negative-all-blocks-checkpoint"]
     + [f"digit-json {text}" for text in BAD_DIGIT_JSON_FILES]
     + [f"json-seq {text}" for text in BAD_SEQ_JSON],
 )
@@ -239,6 +240,13 @@ def test_bad_input_exits_2(capsys, tmp_path, case):
         "huge-depth": ("discrepancy", "--seq", "constant:2", "--depth", f"fixed:{huge}",
                        "--checkpoints", "10"),
         "long-count": ("digits", "--seq", "constant:2", "--count", "-" + "9" * 4000),
+        # digit arrays are int64: a block digit of 2**63 or more is refused
+        "int64-block-digit": ("stats", "--seq", "constant:2", "--blocks", str(2**63),
+                              "--checkpoints", "10"),
+        "int64-diagnose-digit": ("diagnose", "--seq", "constant:2", "--block", "9" * 20,
+                                 "--checkpoints", "10,100"),
+        "long-negative-all-blocks-checkpoint": ("stats", "--seq", "constant:2", "--blocks",
+                                                "all:1", "--checkpoints", "-" + "9" * 4000),
     }[kind]
     code, _, err = run_cli(capsys, *argv)
     assert code == 2

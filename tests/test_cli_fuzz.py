@@ -16,6 +16,8 @@ HUGE = "9" * 5000  # an integer past Python's 4300-digit int-parsing limit
 LONG = "-" + "9" * 4000  # an integer Python still parses, 4 KB of text
 BASE = st.integers(min_value=2, max_value=12)
 ANY_INT = st.integers(min_value=-3, max_value=12)
+# block digits: small ones, and ones at and past the int64 edge
+DIGIT = st.one_of(st.integers(0, 3), st.sampled_from([2**63 - 1, 2**63, 10**20]))
 # counts, checkpoints and digit budgets stay small so the suite runs in seconds
 SIZE = st.integers(min_value=1, max_value=2000)
 BAD_SIZE = st.one_of(st.integers(min_value=-5, max_value=0).map(str),
@@ -118,7 +120,7 @@ def command_line(draw, files):
             draw,
             st.one_of(
                 st.sampled_from(["all:1", "all:2"]),
-                st.lists(st.lists(st.integers(0, 3), min_size=1, max_size=3),
+                st.lists(st.lists(DIGIT, min_size=1, max_size=3),
                          min_size=1, max_size=3).map(
                     lambda bs: ";".join(",".join(map(str, b)) for b in bs)),
             ),
@@ -142,7 +144,7 @@ def command_line(draw, files):
         if draw(st.booleans()):
             argv += ["--exact", mostly(draw, SIZE.map(str), BAD_SIZE)]
     if command == "diagnose":
-        block = mostly(draw, st.lists(st.integers(0, 3), min_size=1, max_size=3),
+        block = mostly(draw, st.lists(DIGIT, min_size=1, max_size=3),
                        st.lists(ANY_INT, max_size=3))
         argv += ["--block", ",".join(map(str, block)), "--checkpoints", checkpoint_list(draw)]
     if command in ("stats", "discrepancy", "diagnose"):

@@ -239,6 +239,32 @@ def test_one_sort_discrepancies_equal_two_sort_formulas(xs):
         assert extreme_discrepancy(sample) == _extreme_reference(xs)
 
 
+def _discrepancies_unblocked(xs):
+    """The discrepancy tail in one full-length pass: d_i = i/N - x_(i)."""
+    xs = np.sort(np.asarray(xs, dtype=np.float64))
+    n = xs.size
+    diffs = np.arange(1, n + 1, dtype=np.float64)
+    diffs /= n
+    diffs -= xs
+    low, high = diffs.min(), diffs.max()
+    return float(max(high, 1.0 / n - low)), float(1.0 / n + high - low)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_unit_floats, min_size=1, max_size=300), st.integers(min_value=1, max_value=300))
+def test_blocked_discrepancy_tail_equals_one_full_length_pass(xs, chunk):
+    want = _discrepancies_unblocked(xs)
+    with mock.patch.object(orbit, "_ORBIT_CHUNK", chunk):
+        got = star_discrepancy(np.asarray(xs)), extreme_discrepancy(np.asarray(xs))
+        report = orbit_discrepancy_report(ConstantSequence(2), constructed_digits(
+            ConstantSequence(2)), [len(xs), 1], depth=8)
+    assert got == want  # bit for bit
+    values, _ = orbit_values(ConstantSequence(2), constructed_digits(ConstantSequence(2)),
+                             len(xs), depth=8)
+    assert [(r.d_star, r.d_extreme) for r in report.rows] == [
+        _discrepancies_unblocked(values[:n]) for n in sorted({1, len(xs)})]
+
+
 def test_report_rows_equal_two_sort_formulas(c2, log_preset):
     E = constructed_digits(c2)
     zeros = finite_digits(c2, [0] * 200)

@@ -1,4 +1,7 @@
+import itertools
 import json
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from cantornormal import (
     ArgumentError,
+    CounterSpillError,
     ConstantSequence,
     IndexLogSequence,
     PeriodicSequence,
@@ -13,10 +17,17 @@ from cantornormal import (
     PresetSequence,
     ScanBoundError,
     TableSequence,
+    admissible_blocks,
+    expected_count,
+    generate_digits,
     parse_sequence_spec,
     sequence_from_json,
 )
+from cantornormal import generator
+from cantornormal.generator import run_region_digits
+from cantornormal.kernels import region_digits
 from cantornormal.sequences import floor_log, floor_log_array, level_start
+from cantornormal.stats import _array_expected_counts, _run_expected_counts
 
 
 def test_constant_base_at():
@@ -208,3 +219,104 @@ def test_first_position_and_run_length_bases(seq, data):
                              st.integers(1, 5000)))
     hi = min(lo + data.draw(st.integers(-1, 3000)), INT64_MAX)
     assert seq.bases(lo, hi).tolist() == [seq.base_at(n) for n in range(lo, hi + 1)]
+
+
+# Closed forms over constant-base runs, each against its array route as the
+# oracle: the region kernel, the array expected-count pass, and the grid of
+# admissible blocks, which a TableSequence of the same bases always takes.
+
+def _run_starts(seq) -> list[int]:
+    return [seq.first_position(c) for c in range(2, seq.base_at(10**6) + 1)]
+
+
+def _near_run_start(seq):
+    return st.builds(lambda t, d: max(0, t + d), st.sampled_from(_run_starts(seq)),
+                     st.integers(-60, 60))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(NONDECREASING), st.data())
+def test_run_region_digits_equal_the_region_kernel(seq, data):
+    r = data.draw(st.integers(1, 6))
+    lo = data.draw(st.one_of(_near_run_start(seq), st.integers(0, 10**6),
+                             st.integers(0, 2**62)))
+    # the count may cut a run and the last window
+    take = data.draw(st.integers(1, 500))
+    want, want_distinct = region_digits(seq.bases(lo + 1, lo + -(-take // r) * r), r)
+    got = np.empty(take, dtype=np.int64)
+    assert run_region_digits(seq, lo, r, got) == want_distinct
+    assert got.tolist() == want[:take].tolist()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(NONDECREASING), st.integers(1, 3000))
+def test_closed_form_generate_digits_equal_the_stream(seq, count):
+    assert generate_digits(seq, count).tolist() == list(
+        itertools.islice(generator.digit_stream(seq), count))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(NONDECREASING), st.data())
+def test_run_expected_counts_equal_the_array_pass(seq, data):
+    block = tuple(data.draw(st.lists(st.integers(0, 6), min_size=1, max_size=4)))
+    near = _near_run_start(seq).map(lambda t: max(1, t))
+    cps = sorted(set(data.draw(st.lists(st.one_of(near, st.integers(1, 3 * 10**4)),
+                                        min_size=1, max_size=5))))
+    # positions past the longest block, as in a report over mixed lengths
+    hi = cps[-1] + len(block) - 1 + data.draw(st.integers(0, 3))
+    assert (_run_expected_counts(seq.base_runs(1, hi), block, cps)
+            == _array_expected_counts(seq.bases(1, hi), block, cps))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(NONDECREASING), st.integers(1, 3), st.data())
+def test_admissible_blocks_equal_on_both_routes(seq, k, data):
+    n = data.draw(st.one_of(_near_run_start(seq).map(lambda t: max(1, t)),
+                            st.integers(1, 10**5)))
+    twin = TableSequence(seq.bases(1, n + k - 1).tolist())
+    try:
+        want = admissible_blocks(twin, k, n)
+    except ArgumentError as exc:
+        with pytest.raises(ArgumentError, match=re.escape(str(exc))):
+            admissible_blocks(seq, k, n)
+    else:
+        assert admissible_blocks(seq, k, n) == want
+
+
+# a nondecreasing sequence and a table with its bases wherever the ladder
+# reads them for counts up to 10**5 (iterated-log keeps base 4 from 65532
+# to 2**32 - 5)
+_ITERATED = PresetSequence("iterated-log")
+TWINS = [(ConstantSequence(2), TableSequence([2])), (ConstantSequence(9), TableSequence([9])),
+         (_ITERATED, TableSequence(_ITERATED.bases(1, 70000).tolist()))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(TWINS), st.integers(1, 10**5), st.integers(1, 6))
+def test_both_decode_routes_refuse_the_same_spill(twins, count, limit):
+    seq, twin = twins
+    with mock.patch.object(generator, "DEFAULT_SPILL_LIMIT", limit):
+        try:
+            want = generate_digits(twin, count)
+        except CounterSpillError as exc:
+            with pytest.raises(CounterSpillError, match=re.escape(str(exc))):
+                generate_digits(seq, count)
+        else:
+            assert generate_digits(seq, count).tolist() == want.tolist()
+
+
+def test_both_routes_refuse_the_same_int64_overflow():
+    wide = ConstantSequence(2**40)
+    bases = wide.bases(1, 4)
+    with pytest.raises(ArgumentError) as want:
+        region_digits(bases, 2)
+    with pytest.raises(ArgumentError, match=re.escape(str(want.value))):
+        run_region_digits(wide, 0, 2, np.empty(4, dtype=np.int64))
+    with pytest.raises(ArgumentError) as want:
+        _array_expected_counts(bases, (0, 0), [3])
+    with pytest.raises(ArgumentError, match=re.escape(str(want.value))):
+        _run_expected_counts(wide.base_runs(1, 4), (0, 0), [3])
+    with pytest.raises(ArgumentError, match=re.escape(str(want.value))):
+        expected_count(wide, (0, 0), 3)
+    with pytest.raises(ArgumentError, match=re.escape(str(want.value))):
+        expected_count(TableSequence([2**40]), (0, 0), 3)

@@ -20,7 +20,6 @@ from cantornormal import (
     build_half_range,
     constructed_digits,
     count_block,
-    donor_divergent,
     finite_digits,
     clip_digits,
     clip_chain,
@@ -211,14 +210,6 @@ def test_count_threshold_certificate(log_preset):
         t = s.count_threshold(n, k)
         assert s.count_threshold_predicate(n, k, t)
         assert t == 1 or not s.count_threshold_predicate(n, k, t - 1)
-
-
-def test_donor_divergence():
-    assert donor_divergent(ConstantSequence(2), (1,))
-    assert not donor_divergent(ConstantSequence(2), (2,))
-    assert donor_divergent(PeriodicSequence([2, 4]), (3,))
-    assert not donor_divergent(PeriodicSequence([2, 4]), (3, 3))
-    assert donor_divergent(IndexLogSequence(), (40,))
 
 
 def test_schedule_ladder_log_preset(log_preset):
