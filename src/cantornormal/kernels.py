@@ -5,6 +5,13 @@ one region (``region_digits``), marking block occurrences (``match_mask``)
 and evaluating truncated orbit values exactly (``orbit_numbers``). Each
 works on whole arrays per step, never per position in Python.
 
+On nondecreasing sequences the callers skip two of them wherever the bases
+are constant: ``generator.run_region_digits`` decodes regions from the base
+runs, and ``orbit.orbit_values`` evaluates each block of one base and one
+depth with a scalar Horner pass. ``region_digits`` and ``orbit_numbers``
+then serve the remaining blocks and every other sequence kind, and stay the
+tests' oracle for the run routes.
+
 All kernels work on int64 arrays and are guarded against overflow by the
 callers (window-key width and orbit denominators are checked in Python
 before dispatch).

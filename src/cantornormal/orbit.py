@@ -83,7 +83,14 @@ def orbit_values(
 
     Each value is the exact truncated value rounded to the nearest float,
     and rounded down where that would give 1.0, so it lies in [0, 1); it
-    carries up to 2**-53 of float rounding on top of its `eps`."""
+    carries up to 2**-53 of float rounding on top of its `eps`.
+
+    The indices go in blocks of _ORBIT_CHUNK. On a nondecreasing sequence a
+    block whose points share one depth d and read one base c throughout, with
+    c**d <= 2**61, takes the run route: one scalar Horner pass over digit
+    slices in a reused int64 buffer, over the constant denominator c**d.
+    Every other block goes to `kernels.orbit_numbers`, whose span check alone
+    refuses denominators past int64; both routes give the same bits."""
     if count < 0:
         raise ArgumentError(f"orbit count must be >= 0, got {count}")
     if count == 0:
@@ -110,15 +117,36 @@ def orbit_values(
         raise ArgumentError(f"orbit evaluation needs {need} digits/bases")
     values = np.empty(count)
     eps = np.empty(count)
+    acc = np.empty(min(_ORBIT_CHUNK, count), dtype=np.int64)  # run-route numerators
     for lo in range(0, count, _ORBIT_CHUNK):
         hi = min(lo + _ORBIT_CHUNK, count)
-        depths = depths_of(lo, hi)
-        top = hi - 1 + int(depths[-1])
-        num, den = orbit_numbers(digits[lo:top], seq.bases(lo + 1, top), depths)
+        # depths never decrease, so equal ends mean one depth d over the block
+        d = int(depths_of(hi - 1, hi)[0])
+        top = hi - 1 + d
+        c = _run_base(seq, lo + 1, top, d) if int(depths_of(lo, lo + 1)[0]) == d else None
+        if c is not None:
+            num, den = acc[: hi - lo], float(c**d)
+            num[:] = digits[lo:hi]
+            for i in range(1, d):
+                num *= c
+                num += digits[lo + i : hi + i]
+        else:
+            num, den = orbit_numbers(digits[lo:top], seq.bases(lo + 1, top), depths_of(lo, hi))
         np.divide(num, den, out=values[lo:hi])
         np.minimum(values[lo:hi], _BELOW_ONE, out=values[lo:hi])
         np.divide(1.0, den, out=eps[lo:hi])
     return values, eps
+
+
+def _run_base(seq: BasicSequence, first: int, last: int, d: int) -> int | None:
+    """The one base c at positions first..last of a nondecreasing sequence,
+    if the depth-d denominator c**d is at most 2**61; None otherwise, which
+    leaves the refusal of wider denominators to the kernel's span check."""
+    if not seq.nondecreasing or d > 61:
+        return None
+    c = seq.base_at(first)
+    # bases never decrease, so equal ends mean one run
+    return c if c == seq.base_at(last) and c**d <= 1 << 61 else None
 
 
 def orbit_exact_finite(seq: BasicSequence, x, m: int) -> Fraction:
@@ -163,7 +191,7 @@ def _sorted_discrepancies(xs: np.ndarray) -> tuple[float, float]:
     n = xs.size
     if n < 1:
         raise ArgumentError("discrepancy needs at least one sample")
-    _check_unit(xs)
+    _check_unit((xs[0], xs[-1]))  # NaN sorts last
     low, high = np.inf, -np.inf
     for lo in range(0, n, _ORBIT_CHUNK):
         hi = min(lo + _ORBIT_CHUNK, n)
@@ -210,13 +238,7 @@ def extreme_discrepancy(values):
 
 
 def _check_unit(values) -> None:
-    if isinstance(values, np.ndarray):
-        if values.size and (values.min() < 0 or values.max() >= 1):
-            raise ArgumentError("samples must lie in [0, 1)")
-        return
-    if not values:
-        raise ArgumentError("discrepancy needs at least one sample")
-    if any(v < 0 or v >= 1 for v in values):
+    if any(not (0 <= v < 1) for v in values):  # also refuses NaN
         raise ArgumentError("samples must lie in [0, 1)")
 
 

@@ -1,3 +1,5 @@
+import contextlib
+import math
 from fractions import Fraction
 from unittest import mock
 
@@ -8,8 +10,10 @@ from hypothesis import given, settings, strategies as st
 from cantornormal import (
     ArgumentError,
     ConstantSequence,
+    IndexLogSequence,
     InsufficientDigitsError,
     PeriodicSequence,
+    PointwiseSequence,
     PresetSequence,
     TableSequence,
     build_orbit_sink,
@@ -357,15 +361,127 @@ def test_orbit_values_guards_hold_in_every_block(chunk, count, depth):
             orbit_values(seq, np.zeros(need - 1, dtype=np.int64), count, depth=depth)
 
 
+def _no_kernel():
+    return mock.patch.object(orbit, "orbit_numbers", side_effect=AssertionError("kernel"))
+
+
 @pytest.mark.parametrize("depth", [53, 54, 61])
 def test_deep_orbit_values_stay_below_one(c2, depth):
     # on a stream of 1s every truncated value is 1 - 2**-depth, which rounds
     # to 1.0 past 53 bits; it is rounded down to the float below 1 instead
     ones = finite_digits(c2, [1] * 200)
-    values, eps = orbit_values(c2, ones, 100, depth=depth)
+    with _no_kernel():  # 2**depth <= 2**61: the run route
+        values, eps = orbit_values(c2, ones, 100, depth=depth)
     assert (values == np.nextafter(1.0, 0.0)).all()
     exact = orbit_truncated(c2, ones, 99, depth=depth).value
     assert abs(Fraction(float(values[99])) - exact) <= Fraction(1, 2**53)
     assert (eps == 2.0**-depth).all()
     report = orbit_discrepancy_report(c2, ones, [1, 100], depth=depth)
     assert [r.d_star for r in report.rows] == [1.0 - 2**-53] * 2
+
+
+_RUN_SEQUENCES = [ConstantSequence(c) for c in range(2, 10)] + [
+    PresetSequence("log"),
+    PresetSequence("iterated-log"),
+    IndexLogSequence(),
+    PointwiseSequence(PresetSequence("log"), "half-of"),
+    PointwiseSequence(PresetSequence("log"), "log-of", "2"),
+]
+# iterated-log's default depth steps from 1 to 2 at m = 9998
+_RUN_TOP = 10_100
+
+
+def _run_landmarks(seq, depth):
+    """Orbit indices where a block edge meets a run start (the point that
+    first reads it, and the points whose reads end just before it), and
+    where it meets a depth step (the first point of each new depth)."""
+    starts = [start - 1 - k for start, _, _ in seq.base_runs(2, _RUN_TOP) for k in range(13)]
+    steps = []
+    if depth is None:
+        bounds = PartitionIndex(seq).boundaries_through(_RUN_TOP)
+        steps = [b + 1 for r, b in enumerate(bounds[1:], start=1)
+                 if math.isqrt(r + 1) > math.isqrt(r)]
+    return [marks for marks in ([m for m in starts if m >= 1], steps) if marks]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(_RUN_SEQUENCES),
+    st.one_of(st.none(), st.integers(min_value=1, max_value=16)),
+    st.booleans(),
+    st.data(),
+)
+def test_orbit_run_route_matches_kernel_oracle(seq, depth, as_stream, data):
+    kinds = _run_landmarks(seq, depth)
+    mark = data.draw(st.sampled_from(data.draw(st.sampled_from(kinds)))) if kinds else \
+        data.draw(st.integers(1, 2000))
+    # a chunk dividing the mark puts a block edge on it; count = mark puts the
+    # last edge there; at most ~500 blocks keep each example quick
+    divisors = [k for k in range(1, 301) if mark % k == 0 and mark // k <= 500]
+    chunk = data.draw(st.one_of(
+        st.sampled_from(divisors or [300]), st.integers(max(1, mark // 500), 300)))
+    count = data.draw(st.one_of(
+        st.just(mark), st.just(mark + chunk),
+        st.integers(max(1, mark - 2 * chunk), mark + 2 * chunk)))
+    last = truncation_depth(PartitionIndex(seq), count - 1) if depth is None else depth
+    rng = np.random.default_rng(count * 1000 + chunk)
+    digits = rng.integers(0, seq.bases(1, count - 1 + last))
+    E = finite_digits(seq, digits) if as_stream else digits
+    want = _orbit_values_unblocked(seq, digits, count, depth)
+    with mock.patch.object(orbit, "_ORBIT_CHUNK", chunk):
+        got = orbit_values(seq, E, count, depth=depth)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_orbit_run_route_skips_the_kernel():
+    # all 200 points of iterated-log read base 2 (base 3 starts at 252) at depth 1
+    for seq, count, depth in ((ConstantSequence(2), 5000, 24),
+                              (PresetSequence("iterated-log"), 200, None)):
+        E = constructed_digits(seq)
+        want = _orbit_values_unblocked(seq, E.prefix(count + 24), count, depth)
+        with _no_kernel():
+            got = orbit_values(seq, E, count, depth=depth)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("seq, count, depth", [
+    (ConstantSequence(2), 700, None),  # depth 1 to 2 at m = 623
+    (PresetSequence("iterated-log"), 300, None),  # base 2 to 3 at position 252
+    (PresetSequence("iterated-log"), 250, 3),  # the last point reads position 252
+])
+def test_orbit_block_across_a_step_takes_the_kernel(seq, count, depth):
+    E = constructed_digits(seq)
+    want = _orbit_values_unblocked(seq, E.prefix(count + 3), count, depth)
+    with mock.patch.object(orbit, "orbit_numbers", wraps=orbit_numbers) as kernel:
+        got = orbit_values(seq, E, count, depth=depth)
+    assert kernel.call_count == 1
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("seq, ok, wide", [
+    (ConstantSequence(2), 61, 62),
+    (ConstantSequence(3), 38, 39),
+    (ConstantSequence(2**60), 1, 2),
+    (TableSequence([2**60]), 1, 2),  # not nondecreasing: the kernel's own edge
+])
+def test_orbit_run_route_int64_edges_match_kernel(seq, ok, wide):
+    count = 300
+    ones = np.ones(count + wide, dtype=np.int64)
+    want = _orbit_values_unblocked(seq, ones, count, ok)
+    with _no_kernel() if seq.nondecreasing else contextlib.nullcontext():
+        got = orbit_values(seq, ones, count, depth=ok)
+    assert np.array_equal(got[0], np.minimum(want[0], _BELOW_ONE))
+    assert np.array_equal(got[1], want[1])
+    message = "truncation depth too large for int64 denominators"
+    with pytest.raises(ArgumentError, match=message):
+        orbit_values(seq, ones, count, depth=wide)
+    with pytest.raises(ArgumentError, match=message):
+        _orbit_values_unblocked(seq, ones, count, wide)
+
+
+@pytest.mark.parametrize("fn", [star_discrepancy, extreme_discrepancy])
+@pytest.mark.parametrize("sample", [[0.5, math.nan], [math.nan], [0.25, math.nan, 0.75]])
+def test_nan_samples_are_refused(fn, sample):
+    for values in (sample, np.asarray(sample)):
+        with pytest.raises(ArgumentError, match=r"samples must lie in \[0, 1\)"):
+            fn(values)
