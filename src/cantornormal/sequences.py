@@ -3,10 +3,18 @@
 A basic sequence assigns an integer base >= 2 to every 1-based position.
 Everything else in the package (digit construction, block statistics,
 orbits) is parameterised by one of these.
+
+Every kind is described in one of two ways. A nondecreasing kind (constant,
+the presets, pointwise over one of those) gives first_position in closed
+form, so its bases come as runs of constant base. Every other kind
+(periodic, table, pointwise over one of those) lists a head of bases
+followed by a cycle that repeats forever. BasicSequence evaluates both
+descriptions; the kinds only supply them.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import operator
@@ -69,22 +77,6 @@ def level_start(c: int, log_base: str) -> int:
     return math.ceil(_LOG_BASE_VALUES[log_base] ** c)
 
 
-def floor_log_array(v: np.ndarray, log_base: str) -> np.ndarray:
-    """floor_log of every entry of a positive int64 array, as int64.
-
-    The entries are placed among the level starts between the smallest and
-    the largest entry's level with one searchsorted, so each result equals
-    the scalar floor_log by construction.
-    """
-    if not v.size:
-        return np.empty(0, dtype=np.int64)
-    lo = floor_log(int(v.min()), log_base)
-    hi = floor_log(int(v.max()), log_base)
-    starts = np.array([level_start(c, log_base) for c in range(lo + 1, hi + 1)],
-                      dtype=np.int64)
-    return lo + np.searchsorted(starts, v, side="right").astype(np.int64)
-
-
 def ceil_log(v: int, log_base: str) -> int:
     """ceil(log(v)) in the requested log base; 0 for v = 1."""
     if v < 1:
@@ -124,19 +116,36 @@ def _check_log_base(log_base) -> None:
         raise ArgumentError(f"log base must be one of {sorted(_LOG_BASE_VALUES)}")
 
 
-class BasicSequence:
-    """A deterministic sequence of integer bases, each at least 2."""
+def _int64(values: list[int]) -> np.ndarray:
+    """Bases as an int64 array; a base past int64 is an ArgumentError."""
+    if values and max(values) >= 2**63:
+        raise ArgumentError(
+            f"bases must be below 2**63 to be read in bulk, got {excerpt(max(values))}"
+        )
+    return np.array(values, dtype=np.int64)
 
-    kind = "abstract"
+
+class BasicSequence:
+    """A deterministic sequence of integer bases, each at least 2.
+
+    A nondecreasing kind sets `nondecreasing` and gives base_at and
+    first_position; its bases are runs of constant base (base_runs). Every
+    other kind gives `head` and `cycle`, lists of Python ints: the bases at
+    positions 1, 2, ... are the head, then the cycle repeated forever.
+    """
+
     #: bases never decrease with position (lets running_max collapse to base_at)
     nondecreasing = False
     #: bases tend to infinity
     infinite_in_limit = False
-    #: running max grows like n**o(1); heuristic metadata, not a proof
-    slowly_growing = True
+    head: list[int]
+    cycle: list[int]
 
     def base_at(self, n: int) -> int:
-        raise NotImplementedError
+        check_position(n)
+        if n <= len(self.head):
+            return self.head[n - 1]
+        return self.cycle[(n - len(self.head) - 1) % len(self.cycle)]
 
     def first_position(self, c: int) -> int:
         """Least position t with base_at(t) >= c; nondecreasing kinds give
@@ -156,18 +165,25 @@ class BasicSequence:
                 if b > a]
 
     def bases(self, lo: int, hi: int) -> np.ndarray:
-        """Bases at positions lo..hi inclusive, as int64, repeated out of
-        base_runs. Kinds that are not nondecreasing override this."""
-        runs = self.base_runs(lo, hi)
-        return np.repeat(np.array([c for _, _, c in runs], dtype=np.int64),
-                         [b - a for a, b, _ in runs])
+        """Bases at positions lo..hi inclusive, as int64: repeated out of
+        base_runs on a nondecreasing kind, else gathered from head and cycle."""
+        if self.nondecreasing:
+            runs = self.base_runs(lo, hi)
+            return np.repeat(_int64([c for _, _, c in runs]), [b - a for a, b, _ in runs])
+        check_position(lo)
+        h = len(self.head)
+        head = _int64(self.head[lo - 1 : max(hi, 0)])
+        if hi <= h:
+            return head
+        tail = np.arange(max(lo, h + 1) - h - 1, hi - h, dtype=np.int64) % len(self.cycle)
+        return np.concatenate([head, _int64(self.cycle)[tail]])
 
     def running_max(self, n: int) -> int:
         """Largest base among the first n positions."""
         check_position(n)
         if self.nondecreasing:
             return self.base_at(n)
-        raise NotImplementedError
+        return max(itertools.islice(itertools.chain(self.head, self.cycle), n))
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -186,7 +202,6 @@ class BasicSequence:
 
 
 class ConstantSequence(BasicSequence):
-    kind = "constant"
     nondecreasing = True
 
     def __init__(self, b: int):
@@ -209,29 +224,12 @@ class ConstantSequence(BasicSequence):
 
 
 class PeriodicSequence(BasicSequence):
-    kind = "periodic"
-
     def __init__(self, pattern):
         pattern = _check_bases(pattern)
         if not pattern:
             raise ArgumentError("periodic sequence needs at least one base")
         self.pattern = pattern
-        self._prefix_max = list(np.maximum.accumulate(pattern))
-
-    def base_at(self, n: int) -> int:
-        check_position(n)
-        return self.pattern[(n - 1) % len(self.pattern)]
-
-    def bases(self, lo: int, hi: int) -> np.ndarray:
-        check_position(lo)
-        if hi < lo:
-            return np.empty(0, dtype=np.int64)
-        idx = np.arange(lo - 1, hi, dtype=np.int64) % len(self.pattern)
-        return np.asarray(self.pattern, dtype=np.int64)[idx]
-
-    def running_max(self, n: int) -> int:
-        check_position(n)
-        return self._prefix_max[min(n, len(self.pattern)) - 1]
+        self.head, self.cycle = [], pattern
 
     def to_json(self) -> dict:
         return {"kind": "periodic", "bases": self.pattern}
@@ -243,8 +241,6 @@ class PeriodicSequence(BasicSequence):
 class TableSequence(BasicSequence):
     """A finite table of bases plus an extension rule (repeat-last only)."""
 
-    kind = "table"
-
     def __init__(self, table, extend: str = "repeat-last"):
         table = _check_bases(table)
         if not table:
@@ -253,27 +249,7 @@ class TableSequence(BasicSequence):
             raise ArgumentError(f"unknown table extension rule {excerpt(extend)}")
         self.table = table
         self.extend = extend
-        self._prefix_max = list(np.maximum.accumulate(table))
-
-    def base_at(self, n: int) -> int:
-        check_position(n)
-        if n <= len(self.table):
-            return self.table[n - 1]
-        return self.table[-1]
-
-    def bases(self, lo: int, hi: int) -> np.ndarray:
-        check_position(lo)
-        if hi < lo:
-            return np.empty(0, dtype=np.int64)
-        out = np.full(hi - lo + 1, self.table[-1], dtype=np.int64)
-        in_table = min(hi, len(self.table))
-        if lo <= in_table:
-            out[: in_table - lo + 1] = self.table[lo - 1 : in_table]
-        return out
-
-    def running_max(self, n: int) -> int:
-        check_position(n)
-        return self._prefix_max[min(n, len(self.table)) - 1]
+        self.head, self.cycle = table[:-1], table[-1:]
 
     def to_json(self) -> dict:
         return {"kind": "table", "bases": self.table, "extend": self.extend}
@@ -289,7 +265,6 @@ class PresetSequence(BasicSequence):
     that the expected-count growth hypothesis holds well past desk scale.
     """
 
-    kind = "preset"
     nondecreasing = True
     infinite_in_limit = True
 
@@ -330,7 +305,6 @@ class PresetSequence(BasicSequence):
 class IndexLogSequence(BasicSequence):
     """p_n = floor(log(n)) + 2, the canonical slowly-growing donor sequence."""
 
-    kind = "preset"
     nondecreasing = True
     infinite_in_limit = True
 
@@ -360,10 +334,10 @@ class PointwiseSequence(BasicSequence):
     op "log-of":  max(floor(log(q_n)), 2)
     op "half-of": max(floor(q_n / 2), 2)
 
-    Both ops are monotone in q_n, so running-max commutes through them.
+    Both ops are monotone in q_n, so the result is nondecreasing when `of`
+    is; otherwise its head and cycle are those of `of` mapped through the
+    op, each distinct base once.
     """
-
-    kind = "pointwise"
 
     _OPS = ("log-of", "half-of")
 
@@ -376,6 +350,10 @@ class PointwiseSequence(BasicSequence):
         self.log_base = log_base
         self.nondecreasing = of.nondecreasing
         self.infinite_in_limit = of.infinite_in_limit
+        if not of.nondecreasing:
+            mapped = {q: self._apply(q) for q in {*of.head, *of.cycle}}
+            self.head = [mapped[q] for q in of.head]
+            self.cycle = [mapped[q] for q in of.cycle]
 
     def _apply(self, q: int) -> int:
         if self.op == "half-of":
@@ -391,17 +369,6 @@ class PointwiseSequence(BasicSequence):
         if self.op == "half-of":
             return self.of.first_position(2 * c)
         return self.of.first_position(level_start(c, self.log_base))
-
-    def bases(self, lo: int, hi: int) -> np.ndarray:
-        if self.nondecreasing:
-            return super().bases(lo, hi)
-        inner = self.of.bases(lo, hi)
-        if self.op == "half-of":
-            return np.maximum(inner // 2, 2)
-        return np.maximum(floor_log_array(inner, self.log_base), 2)
-
-    def running_max(self, n: int) -> int:
-        return self._apply(self.of.running_max(n))
 
     def to_json(self) -> dict:
         return {

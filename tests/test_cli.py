@@ -6,7 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cantornormal import ConstantSequence, PeriodicSequence, constructed_digits, prefix_value
+from cantornormal import (ConstantSequence, PeriodicSequence, constructed_digits, digit_at,
+                          parse_sequence_spec, prefix_value)
 from cantornormal.cli import _csv, _int_rows, main
 
 
@@ -68,6 +69,66 @@ def test_digits_multi_digit_csv_and_raw(capsys):
                                "--count", "5000", "--format", fmt)
         assert code == 0
         assert out == render(digits)
+
+
+TABLE = '{"kind":"table","bases":[5,2,30,3,9,22]}'
+HEAD_CYCLE_SPECS = {
+    "periodic": "periodic:2,3,5",
+    "table": f"json:{TABLE}",
+    "log-of-table": f'json:{{"kind":"pointwise","op":"log-of","of":{TABLE}}}',
+    "half-of-periodic": 'json:{"kind":"pointwise","op":"half-of",'
+                        '"of":{"kind":"periodic","bases":[9,4,7]}}',
+}
+HEAD_CYCLE_COMMANDS = {
+    "digits": ("digits", "--count", "3000", "--format", "csv"),
+    "stats": ("stats", "--blocks", "all:2", "--checkpoints", "100,1000,10000"),
+    "discrepancy": ("discrepancy", "--checkpoints", "100,1000,10000"),
+    "diagnose": ("diagnose", "--block", "1,0", "--checkpoints", "10,100,1000,10000"),
+}
+# SHA-256 of stdout for the sequence kinds the benchmark's pinned digests
+# never run: every benchmark sequence is nondecreasing
+HEAD_CYCLE_SHA256 = {
+    ("periodic", "digits"): "1263cbfe9aedbc73fa025b8cbbf6351aab85e6b086ee9282f918ea1784f7fcf6",
+    ("periodic", "stats"): "f68c1ec40f1d91424fc00de4dd3ce12a32d7f81d6b565f7c4824f729230fa93f",
+    ("periodic", "discrepancy"): "514750ac34b66b82435f13f7569244c574858c77a0ac6fba4cf00a3c77d37b38",
+    ("periodic", "diagnose"): "a520cc4d95bfb7150a0fb8014d398682e1e6bbf4d22ca4327be1672720e681e4",
+    ("table", "digits"): "2c71ef0d7106107fbb2b09398c22d9e8688241cd3f10dc006134a874644a872f",
+    ("table", "stats"): "8df78ae5fa74b3b0c602c26492fa1bcde20ebaeb89f68783f334152c9b648adc",
+    ("table", "discrepancy"): "611271df694d835fad48c17b07babf595afeb42bbecc3b795d24aa5b64d6b389",
+    ("table", "diagnose"): "dbd5e8914a683c74f64b7c9baaf8f146b8db8a93b06fba74ae954f997224f983",
+    ("log-of-table", "digits"): "be11c68e6f6cf97d701b1ebb21e392ce5ac614348b4719d84c898263224806f2",
+    ("log-of-table", "stats"): "e25443136847cc04c5c580ef8cf42dfa36e6d5a7294fe4e0c021ec2a92daf3fc",
+    ("log-of-table", "discrepancy"):
+        "ea8a595e46d1d5db45249251be8a69b6b661de869abcdbaf1135ebfbb7fd549c",
+    ("log-of-table", "diagnose"):
+        "0fb531ca8b5ebe16b070cd3358582daa8d17cf57fa6225c5a16cb90e38be20a2",
+    ("half-of-periodic", "digits"):
+        "c1d85fb70a4a4198c6350d4b7955d9e70250c85ca8a401171fea03a0fa2ce691",
+    ("half-of-periodic", "stats"):
+        "cf88eeb7f4036faff78a2e8691aa64d92e638975d0aa7c681decffa70df7acfe",
+    ("half-of-periodic", "discrepancy"):
+        "2aec467572c76f1951aac05a9bcc5d24203d8de0c3a5822ef59cbe212b672276",
+    ("half-of-periodic", "diagnose"):
+        "b83838897c2853f35dabf1a73527ea391986696782f1d072a3dca065a94e59bd",
+}
+
+
+@pytest.mark.parametrize("seq, command", sorted(HEAD_CYCLE_SHA256))
+def test_head_cycle_output_digests(capsys, seq, command):
+    name, *rest = HEAD_CYCLE_COMMANDS[command]
+    code, out, err = run_cli(capsys, name, "--seq", HEAD_CYCLE_SPECS[seq], *rest)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == HEAD_CYCLE_SHA256[seq, command]
+
+
+@pytest.mark.parametrize("inner", ["periodic", "table"])
+def test_log2_of_head_cycle_digits(capsys, inner):
+    spec = ('json:{"kind":"pointwise","op":"log-of","log_base":"2",'
+            f'"of":{{"kind":"{inner}","bases":[5,9]}}}}')
+    code, out, err = run_cli(capsys, "digits", "--seq", spec, "--count", "10")
+    assert (code, err) == (0, "")
+    seq = parse_sequence_spec(spec)
+    assert out == "".join(f"{n},{digit_at(seq, n)}\n" for n in range(1, 11))
 
 
 def test_stats_example(capsys):
@@ -182,7 +243,9 @@ BAD_SEQ_JSON = ['{"kind":"constant"}', '{"kind":"preset"}', '{"kind":"pointwise"
      "negative-oracle-check", "seq-file-is-dir", "seq-file-not-utf8",
      "diagnose-one-checkpoint", "diagnose-one-checkpoint-above-1",
      "huge-constant", "huge-periodic", "huge-checkpoints", "huge-depth", "long-count",
-     "int64-block-digit", "int64-diagnose-digit", "long-negative-all-blocks-checkpoint"]
+     "int64-block-digit", "int64-diagnose-digit", "long-negative-all-blocks-checkpoint",
+     "int64-periodic-diagnose", "int64-table-diagnose", "int64-constant-stats",
+     "int64-constant-discrepancy"]
     + [f"digit-json {text}" for text in BAD_DIGIT_JSON_FILES]
     + [f"json-seq {text}" for text in BAD_SEQ_JSON],
 )
@@ -201,6 +264,9 @@ def test_bad_input_exits_2(capsys, tmp_path, case):
     huge = "9" * 5000
     huge_digit_file = tmp_path / "huge.json"
     huge_digit_file.write_text(f'{{"digits": [{huge}]}}')
+    six_digits = tmp_path / "six.csv"
+    six_digits.write_text("1,0\n2,1\n3,0\n4,1\n5,0\n6,1\n")
+    wide = 2**70  # bulk base arrays are int64
     argv = {
         "bad-json-seq": ("digits", "--seq", "json:{bad", "--count", "4"),
         "bad-json-seq-file": ("digits", "--seq", f"file:{seq_file}", "--count", "4"),
@@ -247,6 +313,15 @@ def test_bad_input_exits_2(capsys, tmp_path, case):
                                  "--checkpoints", "10,100"),
         "long-negative-all-blocks-checkpoint": ("stats", "--seq", "constant:2", "--blocks",
                                                 "all:1", "--checkpoints", "-" + "9" * 4000),
+        "int64-periodic-diagnose": ("diagnose", "--seq", f"periodic:{wide},2", "--block", "0",
+                                    "--checkpoints", "2,3"),
+        "int64-table-diagnose": ("diagnose", "--seq",
+                                 f'json:{{"kind":"table","bases":[{wide},2]}}', "--block", "0",
+                                 "--checkpoints", "2,3"),
+        "int64-constant-stats": ("stats", "--seq", f"constant:{wide}", "--blocks", "0",
+                                 "--checkpoints", "3", "--source", f"file:{six_digits}"),
+        "int64-constant-discrepancy": ("discrepancy", "--seq", f"constant:{wide}",
+                                       "--checkpoints", "3", "--source", f"file:{six_digits}"),
     }[kind]
     code, _, err = run_cli(capsys, *argv)
     assert code == 2

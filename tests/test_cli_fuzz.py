@@ -15,6 +15,9 @@ from cantornormal.cli import TARGETS, main
 HUGE = "9" * 5000  # an integer past Python's 4300-digit int-parsing limit
 LONG = "-" + "9" * 4000  # an integer Python still parses, 4 KB of text
 BASE = st.integers(min_value=2, max_value=12)
+# spec bases: small ones, and now and then one at or past the int64 edge,
+# which bulk base arrays refuse
+SPEC_BASE = st.one_of(BASE, BASE, BASE, st.sampled_from([2**63 - 1, 2**63, 2**70]))
 ANY_INT = st.integers(min_value=-3, max_value=12)
 # block digits: small ones, and ones at and past the int64 edge
 DIGIT = st.one_of(st.integers(0, 3), st.sampled_from([2**63 - 1, 2**63, 10**20]))
@@ -63,8 +66,11 @@ BAD_DIGIT_TEXT = st.one_of(
 @st.composite
 def seq_spec(draw, files):
     valid = st.one_of(
-        BASE.map(lambda b: f"constant:{b}"),
-        st.lists(BASE, min_size=1, max_size=4).map(lambda bs: "periodic:" + ",".join(map(str, bs))),
+        SPEC_BASE.map(lambda b: f"constant:{b}"),
+        st.lists(SPEC_BASE, min_size=1, max_size=4).map(
+            lambda bs: "periodic:" + ",".join(map(str, bs))),
+        st.lists(SPEC_BASE, min_size=1, max_size=4).map(
+            lambda bs: "json:" + json.dumps({"kind": "table", "bases": bs})),
         st.sampled_from(["preset:log", "preset:iterated-log", "preset:index-log"]),
         GOOD_SEQ_JSON.map(lambda text: "json:" + text),
         GOOD_SEQ_JSON.map(lambda text: f"file:{files(text)}"),

@@ -101,6 +101,14 @@ def test_scan_bound_error(monkeypatch):
         pi.ladder_index(2)
 
 
+@pytest.mark.parametrize("kind", [PeriodicSequence, TableSequence])
+def test_ladder_scan_is_exact_past_int64(kind):
+    # (q*q + 1)**r is about 2**63 already at r = 1; an int64 running max
+    # wrapped it to a negative threshold and accepted n = 1
+    with pytest.raises(ScanBoundError):
+        PartitionIndex(kind([3037000500, 2])).ladder_index(1)
+
+
 def test_region_of_examples(c2_index):
     assert c2_index.region_of(1) == 1
     assert c2_index.region_of(24) == 1

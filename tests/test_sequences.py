@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from cantornormal import (
     ArgumentError,
+    BasicSequence,
     CounterSpillError,
     ConstantSequence,
     IndexLogSequence,
@@ -26,7 +27,7 @@ from cantornormal import (
 from cantornormal import generator
 from cantornormal.generator import run_region_digits
 from cantornormal.kernels import region_digits
-from cantornormal.sequences import floor_log, floor_log_array, level_start
+from cantornormal.sequences import floor_log, level_start
 from cantornormal.stats import _array_expected_counts, _run_expected_counts
 
 
@@ -114,6 +115,7 @@ def test_table_extension():
     assert [s.base_at(n) for n in (1, 2, 3, 4, 99)] == [3, 4, 2, 2, 2]
     assert s.running_max(99) == 4
     assert s.bases(2, 6).tolist() == [4, 2, 2, 2, 2]
+    assert s.bases(1, -1).tolist() == []
 
 
 def test_json_round_trip():
@@ -160,19 +162,6 @@ def test_level_start_is_least_value_on_its_level(log_base):
         assert v == 1 or floor_log(v - 1, log_base) == c - 1
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.sampled_from(["e", "2", "10"]), st.data())
-def test_floor_log_array_matches_scalar(log_base, data):
-    starts = _level_starts(log_base)
-    near = st.builds(lambda v, d: max(1, v + d), st.sampled_from(starts),
-                     st.integers(-1, 1))
-    lo = data.draw(st.integers(1, 2**62))
-    span = st.integers(lo, min(lo + data.draw(st.integers(0, 10**6)), 2**63 - 1))
-    values = data.draw(st.lists(st.one_of(near, span), max_size=50))
-    v = np.array(values, dtype=np.int64)
-    assert floor_log_array(v, log_base).tolist() == [floor_log(x, log_base) for x in values]
-
-
 @pytest.mark.parametrize("log_base", ["e", "2", "10"])
 def test_log_bases_match_base_at_across_level_starts(log_base):
     idx = IndexLogSequence(log_base)
@@ -186,6 +175,60 @@ def test_log_bases_match_base_at_across_level_starts(log_base):
         P = PointwiseSequence(Q, "log-of", log_base)
         lo, hi = 1, len(table) + 300
         assert P.bases(lo, hi).tolist() == [P.base_at(n) for n in range(lo, hi + 1)]
+
+
+class _HeadCycle(BasicSequence):
+    """Any head followed by any cycle, which no public kind combines."""
+
+    def __init__(self, head, cycle):
+        self.head, self.cycle = head, cycle
+
+    def to_json(self) -> dict:
+        return {"kind": "head-cycle", "head": self.head, "cycle": self.cycle}
+
+
+_NEAR_LEVEL_STARTS = sorted({max(2, t + d) for b in ("e", "2", "10") for t in _level_starts(b)
+                             for d in (-1, 0, 1)})
+_HEAD_CYCLE_BASES = st.one_of(st.integers(2, 40), st.integers(2, 2**63 - 1),
+                              st.sampled_from(_NEAR_LEVEL_STARTS))
+_OPS = [("half-of", "e"), ("log-of", "e"), ("log-of", "2"), ("log-of", "10")]
+
+
+@st.composite
+def head_cycle_sequences(draw):
+    """A periodic, table or general head-and-cycle sequence under up to two
+    pointwise ops."""
+    head = draw(st.lists(_HEAD_CYCLE_BASES, max_size=6))
+    cycle = draw(st.lists(_HEAD_CYCLE_BASES, min_size=1, max_size=6))
+    seq = draw(st.sampled_from([_HeadCycle(head, cycle), PeriodicSequence(cycle),
+                                TableSequence(head + cycle[:1])]))
+    for op, log_base in draw(st.lists(st.sampled_from(_OPS), max_size=2)):
+        seq = PointwiseSequence(seq, op, log_base)
+    return seq
+
+
+@settings(max_examples=300, deadline=None)
+@given(head_cycle_sequences(), st.data())
+def test_head_cycle_bases_and_running_max_match_base_at(seq, data):
+    span = len(seq.head) + 2 * len(seq.cycle)
+    lo = data.draw(st.one_of(st.integers(1, span + 3), st.integers(1, 2**62)))
+    hi = data.draw(st.one_of(st.integers(lo - 3, lo + 2 * span), st.integers(-3, 0)))
+    assert seq.bases(lo, hi).tolist() == [seq.base_at(n) for n in range(lo, hi + 1)]
+    n = data.draw(st.integers(1, span + 3))
+    top = seq.running_max(n)
+    assert top == max(seq.base_at(i) for i in range(1, n + 1))
+    # floor_log2 and the ladder's (q*q + 1)**r need exact Python ints
+    assert type(top) is int
+
+
+def test_bulk_bases_refuse_past_int64():
+    for seq in (ConstantSequence(2**63), PeriodicSequence([2, 2**70]), TableSequence([2**63, 2]),
+                PointwiseSequence(PeriodicSequence([2**64 + 3]), "half-of")):
+        assert seq.base_at(1) >= 2  # per-position reads stay exact
+        with pytest.raises(ArgumentError, match=re.escape("below 2**63")):
+            seq.bases(1, 3)
+    assert PeriodicSequence([2**63 - 1]).bases(1, 2).tolist() == [2**63 - 1] * 2
+    assert TableSequence([3, 2**63]).bases(1, 1).tolist() == [3]  # head only
 
 
 INT64_MAX = 2**63 - 1
