@@ -12,7 +12,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
+from collections.abc import Iterable, Iterator
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -131,16 +133,37 @@ def _parse_depth(text: str) -> int | None:
     raise ArgumentError(f"bad depth {excerpt(text)}; expected fixed:<d> or default")
 
 
-def _emit(args, body: str, manifest_params: dict) -> None:
-    sys.stdout.write(body)
-    if getattr(args, "manifest", None):
+def _emit(args, chunks: Iterable[bytes], manifest_params: dict) -> None:
+    """Write `chunks` to stdout's byte stream; with --manifest, record their digest.
+
+    A reader that closes the pipe early (`| head`) ends the writing but not
+    the digest, and the run still exits 0.
+    """
+    chunks = iter(chunks)
+    digest = hashlib.sha256() if getattr(args, "manifest", None) else None
+    try:
+        sys.stdout.flush()
+        for chunk in chunks:
+            if digest is not None:
+                digest.update(chunk)
+            sys.stdout.buffer.write(chunk)
+        sys.stdout.buffer.flush()
+    except BrokenPipeError:
+        # point fd 1 at devnull so the flush at exit has somewhere to go
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        if digest is not None:
+            for chunk in chunks:
+                digest.update(chunk)
+    if digest is not None:
         manifest = {
             "subcommand": args.command,
             "seq": getattr(args, "seq", None),
             "target": getattr(args, "target", None),
             "parameters": manifest_params,
             "version": __version__,
-            "output_sha256": hashlib.sha256(body.encode()).hexdigest(),
+            "output_sha256": digest.hexdigest(),
         }
         Path(args.manifest).write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
@@ -149,28 +172,42 @@ def _csv(rows) -> str:
     return "".join(",".join(str(c) for c in row) + "\n" for row in rows)
 
 
-_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
+_EMIT_ROWS = 2**16  # rows formatted, written and hashed as one chunk
 
 
-def _int_rows(*columns: np.ndarray) -> str:
+def _int_rows(*columns: np.ndarray) -> bytes:
     """Newline-terminated rows of comma-separated non-negative int64 columns.
 
-    The text is the same as `_csv` writes for the same rows; it is built in
-    one uint8 buffer, one decimal place of every column at a time.
+    The bytes are those `_csv` writes for the same rows. Each column is
+    right-aligned in its own slice of one uint8 matrix, filled one decimal
+    place at a time; one boolean compaction then drops each cell's leading
+    pad, unless every cell of each column has that column's full width.
     """
     if not columns[0].size:
-        return ""
-    widths = [np.searchsorted(_POWERS_OF_TEN, c, side="right") + 1 for c in columns]
-    ends = np.cumsum(sum(widths) + len(columns))
-    buf = np.full(int(ends[-1]), ord(","), dtype=np.uint8)
-    buf[ends - 1] = ord("\n")
-    stop = ends - 1  # one past each row's last column
-    for c, w in zip(reversed(columns), reversed(widths)):
-        for place in range(int(w.max())):
-            live = np.flatnonzero(w > place)
-            buf[stop[live] - 1 - place] = ord("0") + c[live] // 10**place % 10
-        stop = stop - w - 1
-    return buf.tobytes().decode("ascii")
+        return b""
+    highs = [int(c.max()) for c in columns]
+    widths = [len(str(h)) for h in highs]
+    buf = np.empty((columns[0].size, sum(widths) + len(columns)), dtype=np.uint8)
+    padded = any(len(str(int(c.min()))) < w for c, w in zip(columns, widths))
+    keep = np.ones(buf.shape, dtype=bool) if padded else None
+    stop = 0  # one past the current column's last place
+    for c, high, w in zip(columns, highs, widths):
+        stop += w
+        q = c.astype(np.uint32 if high < 2**32 else np.int64)
+        nxt, r = np.empty_like(q), np.empty_like(q)
+        for place in range(w):
+            col = stop - 1 - place
+            if place and padded:  # a pad where no digits are left
+                np.not_equal(q, 0, out=keep[:, col])
+            np.floor_divide(q, 10, out=nxt)
+            np.multiply(nxt, 10, out=r)
+            buf[:, col] = np.subtract(q, r, out=r)
+            q, nxt = nxt, q
+        stop += 1
+    buf += ord("0")
+    buf[:, np.cumsum(widths) + np.arange(len(widths))] = ord(",")  # after each cell
+    buf[:, -1] = ord("\n")
+    return (buf.ravel() if keep is None else buf[keep]).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -192,17 +229,22 @@ def _cmd_digits(args) -> None:
                     f"stream digit {int(digits[n - 1])} at position {n} "
                     f"disagrees with the direct oracle {expect}"
                 )
-    body = _format_digit_output(args, seq, digits)
-    _emit(args, body, {"count": args.count, "format": args.format,
-                       "oracle_check": args.oracle_check})
+    _emit(args, _format_digit_output(args, seq, digits),
+          {"count": args.count, "format": args.format, "oracle_check": args.oracle_check})
 
 
-def _format_digit_output(args, seq: BasicSequence, digits: np.ndarray) -> str:
-    if args.format == "csv":
-        return _int_rows(np.arange(1, digits.size + 1, dtype=np.int64), digits)
+def _format_digit_output(args, seq: BasicSequence, digits: np.ndarray) -> Iterator[bytes]:
+    """The `digits`/`construct` body: one JSON chunk, or raw/CSV rows `_EMIT_ROWS` at a time."""
     if args.format == "json":
-        return json.dumps({"seq": seq.to_json(), "digits": digits.tolist()}, sort_keys=True) + "\n"
-    return _int_rows(digits)
+        yield (json.dumps({"seq": seq.to_json(), "digits": digits.tolist()},
+                          sort_keys=True) + "\n").encode()
+        return
+    for lo in range(0, digits.size, _EMIT_ROWS):
+        rows = digits[lo:lo + _EMIT_ROWS]
+        if args.format == "csv":
+            yield _int_rows(np.arange(lo + 1, lo + 1 + rows.size, dtype=np.int64), rows)
+        else:
+            yield _int_rows(rows)
 
 
 def _cmd_construct(args) -> None:
@@ -219,8 +261,7 @@ def _cmd_construct(args) -> None:
     }
     if clamp_events is not None:
         params["clamp_events"] = clamp_events.events
-    body = _format_digit_output(args, seq, digits)
-    _emit(args, body, params)
+    _emit(args, _format_digit_output(args, seq, digits), params)
 
 
 def _cmd_stats(args) -> None:
@@ -235,7 +276,7 @@ def _cmd_stats(args) -> None:
         rows = [["block", "n", "observed", "expected_num", "expected_den", "ratio"]]
         rows += [r.as_csv() for r in report.rows]
         body = _csv(rows)
-    _emit(args, body, {"blocks": args.blocks, "checkpoints": cps})
+    _emit(args, [body.encode()], {"blocks": args.blocks, "checkpoints": cps})
 
 
 def _cmd_discrepancy(args) -> None:
@@ -249,7 +290,7 @@ def _cmd_discrepancy(args) -> None:
         rows = [["n", "d_star", "d_extreme", "max_eps"]]
         rows += [r.as_csv() for r in report.rows]
         body = _csv(rows)
-    _emit(args, body, {"checkpoints": cps, "depth": args.depth})
+    _emit(args, [body.encode()], {"checkpoints": cps, "depth": args.depth})
 
 
 def _cmd_value(args) -> None:
@@ -265,7 +306,7 @@ def _cmd_value(args) -> None:
     else:
         digits = to_base_b(E, args.base, args.digits)
         body = "0." + format_digits(digits, args.base) + f" (base {args.base})\n"
-    _emit(args, body, params)
+    _emit(args, [body.encode()], params)
 
 
 def _cmd_diagnose(args) -> None:
@@ -296,7 +337,7 @@ def _cmd_diagnose(args) -> None:
         ]
         rows.append(["trend", "", "increasing" if diag.increasing else "flat", diag.label])
         body = _csv(rows)
-    _emit(args, body, {"block": args.block, "checkpoints": cps})
+    _emit(args, [body.encode()], {"block": args.block, "checkpoints": cps})
 
 
 # ---------------------------------------------------------------------------

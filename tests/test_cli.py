@@ -1,13 +1,21 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cantornormal import (ConstantSequence, PeriodicSequence, constructed_digits, digit_at,
                           parse_sequence_spec, prefix_value)
+from cantornormal import cli
 from cantornormal.cli import _csv, _int_rows, main
 
 
@@ -41,12 +49,12 @@ def test_digits_oracle_check(capsys):
     assert len(out.splitlines()) == 500
 
 
-def _old_raw(values) -> str:
-    return "".join(f"{int(d)}\n" for d in values)
+def _old_raw(values) -> bytes:
+    return "".join(f"{int(d)}\n" for d in values).encode()
 
 
-def _old_csv(values) -> str:
-    return _csv((n, int(d)) for n, d in enumerate(values, start=1))
+def _old_csv(values) -> bytes:
+    return _csv((n, int(d)) for n, d in enumerate(values, start=1)).encode()
 
 
 def test_int_rows_matches_per_row_rendering():
@@ -56,9 +64,34 @@ def test_int_rows_matches_per_row_rendering():
               np.arange(0, 12, dtype=np.int64),
               np.arange(95, 105, dtype=np.int64)[::-1],
               np.array([0, 2**63 - 1, 10**18, 10**18 - 1, 5], dtype=np.int64)]
+    # each side of every width step, and of the uint32/int64 switch at 2**32
+    edges = [9, 10, 99, 100, 2**32 - 1, 2**32, 10**18 - 1, 10**18, 2**63 - 1]
+    cases += [np.array([v], dtype=np.int64) for v in edges]
+    cases += [np.array(edges, dtype=np.int64), np.array(edges[::-1], dtype=np.int64),
+              np.array([2**32 - 1, 7, 2**32 - 1], dtype=np.int64)]
     for values in cases:
         assert _int_rows(values) == _old_raw(values)
         assert _int_rows(np.arange(1, values.size + 1, dtype=np.int64), values) == _old_csv(values)
+        assert _int_rows(values, values[::-1], values) == _csv(
+            zip(values.tolist(), values[::-1].tolist(), values.tolist())).encode()
+
+
+PERIODIC_WIDE = "periodic:2,13,101"  # digits of widths 1, 2 and 3
+PERIODIC_WIDE_SEQ = parse_sequence_spec(PERIODIC_WIDE)
+PERIODIC_WIDE_DIGITS = constructed_digits(PERIODIC_WIDE_SEQ).prefix(1500)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, 300), count=st.integers(0, 1500))
+def test_chunks_join_to_the_whole_body(rows, count):
+    digits = PERIODIC_WIDE_DIGITS[:count]
+    for fmt, render in (("csv", _old_csv), ("raw", _old_raw)):
+        with mock.patch.object(cli, "_EMIT_ROWS", rows):
+            chunks = list(cli._format_digit_output(SimpleNamespace(format=fmt),
+                                                   PERIODIC_WIDE_SEQ, digits))
+        assert [c.count(b"\n") for c in chunks] == [min(rows, count - lo)
+                                                   for lo in range(0, count, rows)]
+        assert b"".join(chunks) == render(digits)
 
 
 def test_digits_multi_digit_csv_and_raw(capsys):
@@ -68,7 +101,7 @@ def test_digits_multi_digit_csv_and_raw(capsys):
         code, out, _ = run_cli(capsys, "digits", "--seq", "periodic:2,13,101",
                                "--count", "5000", "--format", fmt)
         assert code == 0
-        assert out == render(digits)
+        assert out.encode() == render(digits)
 
 
 TABLE = '{"kind":"table","bases":[5,2,30,3,9,22]}'
@@ -351,6 +384,41 @@ def test_manifest_determinism(capsys, tmp_path):
     assert d1 == d2
     assert d1["output_sha256"] == hashlib.sha256(out1.encode()).hexdigest()
     assert d1["version"]
+
+
+@pytest.mark.parametrize("fmt", ["raw", "csv"])
+@pytest.mark.parametrize("argv", [
+    ("digits", "--seq", PERIODIC_WIDE),
+    ("construct", "--seq", "preset:iterated-log", "--target", "nq-not-dnq"),
+])
+def test_manifest_digest_of_chunked_output(capsysbinary, tmp_path, argv, fmt):
+    m = tmp_path / "m.json"
+    with mock.patch.object(cli, "_EMIT_ROWS", 97):
+        code = main([*argv, "--count", "1000", "--format", fmt, "--manifest", str(m)])
+    out = capsysbinary.readouterr().out
+    assert code == 0
+    assert out.count(b"\n") == 1000  # eleven chunks
+    assert json.loads(m.read_text())["output_sha256"] == hashlib.sha256(out).hexdigest()
+
+
+# a reader that stops after one line of a 2.6 MB body, and one that reads
+# nothing of a body small enough to sit in stdout's buffer until the end
+@pytest.mark.parametrize("count, lines_read", [(300000, 1), (10, 0)])
+def test_closed_pipe_exits_0_quietly(tmp_path, count, lines_read):
+    m = tmp_path / "m.json"
+    argv = ["digits", "--seq", PERIODIC_WIDE, "--count", str(count), "--format", "csv"]
+    # stdout buffered, as by default, so the small body is only written at the flush
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.Popen([sys.executable, "-m", "cantornormal.cli", *argv, "--manifest", str(m)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    for n in range(1, lines_read + 1):
+        assert proc.stdout.readline() == f"{n},0\n".encode()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (0, b"")
+    whole = _old_csv(constructed_digits(PERIODIC_WIDE_SEQ).prefix(count))
+    assert json.loads(m.read_text())["output_sha256"] == hashlib.sha256(whole).hexdigest()
 
 
 def test_construct_manifest_records_graph_and_clamps(capsys, tmp_path):

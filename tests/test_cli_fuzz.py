@@ -175,7 +175,8 @@ class _Files:
 
 def run_main(argv) -> int:
     """main's exit code; every line it writes to stderr must be under 1 KB."""
-    out, err = io.StringIO(), io.StringIO()
+    # a text stream over bytes, as a real stdout is: digit output goes to its .buffer
+    out, err = io.TextIOWrapper(io.BytesIO()), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
