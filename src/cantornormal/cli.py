@@ -234,17 +234,20 @@ def _cmd_digits(args) -> None:
 
 
 def _format_digit_output(args, seq: BasicSequence, digits: np.ndarray) -> Iterator[bytes]:
-    """The `digits`/`construct` body: one JSON chunk, or raw/CSV rows `_EMIT_ROWS` at a time."""
+    """The `digits`/`construct` body, `_EMIT_ROWS` digits at a time: raw or CSV
+    rows, or the list of a sorted-key JSON object {"digits": [...], "seq": ...}."""
     if args.format == "json":
-        yield (json.dumps({"seq": seq.to_json(), "digits": digits.tolist()},
-                          sort_keys=True) + "\n").encode()
-        return
+        yield b'{"digits": ['
     for lo in range(0, digits.size, _EMIT_ROWS):
         rows = digits[lo:lo + _EMIT_ROWS]
         if args.format == "csv":
             yield _int_rows(np.arange(lo + 1, lo + 1 + rows.size, dtype=np.int64), rows)
+        elif args.format == "json":
+            yield (b", " if lo else b"") + _int_rows(rows)[:-1].replace(b"\n", b", ")
         else:
             yield _int_rows(rows)
+    if args.format == "json":
+        yield f'], "seq": {json.dumps(seq.to_json(), sort_keys=True)}}}\n'.encode()
 
 
 def _cmd_construct(args) -> None:

@@ -2,15 +2,16 @@
 
 Three kernels carry the bulk work: decoding the cyclic block assignment of
 one region (``region_digits``), marking block occurrences (``match_mask``)
-and evaluating truncated orbit values exactly (``orbit_numbers``). Each
-works on whole arrays per step, never per position in Python.
+and evaluating truncated orbit values exactly at one depth
+(``orbit_numbers``). Each works on whole arrays per step, never per
+position in Python.
 
 On nondecreasing sequences the callers skip two of them wherever the bases
 are constant: ``generator.run_region_digits`` decodes regions from the base
-runs, and ``orbit.orbit_values`` evaluates each block of one base and one
-depth with a scalar Horner pass. ``region_digits`` and ``orbit_numbers``
-then serve the remaining blocks and every other sequence kind, and stay the
-tests' oracle for the run routes.
+runs, and ``orbit.orbit_values``, whose blocks each have one depth,
+evaluates each block of one base with a scalar Horner pass.
+``region_digits`` and ``orbit_numbers`` then serve the remaining blocks and
+every other sequence kind, and stay the tests' oracle for the run routes.
 
 All kernels work on int64 arrays and are guarded against overflow by the
 callers (window-key width and orbit denominators are checked in Python
@@ -101,38 +102,30 @@ def match_mask(digits: np.ndarray, block, n: int) -> np.ndarray:
 # truncated orbit values
 # ---------------------------------------------------------------------------
 
-def orbit_numbers(digits: np.ndarray, bases: np.ndarray, depths: np.ndarray):
-    """Exact numerator/denominator of each truncated orbit value.
+def orbit_numbers(digits: np.ndarray, bases: np.ndarray, depth: int):
+    """Exact numerator/denominator of each depth-`depth` truncated orbit value.
 
-    Entry m uses digits[m], digits[m+1], ... for depths[m] steps (callers
-    pass slices so that digits[m] is the digit at stream position m+1).
-    Denominators must fit int64; callers bound depth accordingly.
+    Entry m, for each of the digits.size - depth + 1 starts, uses
+    digits[m..m+depth-1] over bases[m..m+depth-1] (callers pass slices so that
+    digits[m] is the digit at stream position m+1). Denominators must fit
+    int64; wider spans are refused.
     """
-    depths = np.ascontiguousarray(depths, dtype=np.int64)
-    if depths.size == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    need = int((np.arange(depths.size, dtype=np.int64) + depths).max())
-    if digits.size < need or bases.size < need:
-        raise ArgumentError(f"orbit evaluation needs {need} digits/bases")
-    log2den = np.log2(bases[:need].astype(np.float64))
-    csum = np.concatenate(([0.0], np.cumsum(log2den)))
-    spans = csum[np.arange(depths.size) + depths] - csum[: depths.size]
-    if spans.max(initial=0.0) > 61.5:
+    if depth < 1:
+        raise ArgumentError(f"truncation depth must be >= 1, got {depth}")
+    if digits.size < depth or bases.size < digits.size:
+        raise ArgumentError(f"orbit evaluation needs {max(depth, digits.size)} digits/bases")
+    count = digits.size - depth + 1
+    csum = np.concatenate(([0.0], np.cumsum(np.log2(bases[: digits.size].astype(np.float64)))))
+    if (csum[depth:] - csum[:count]).max() > 61.5:
         raise ArgumentError("truncation depth too large for int64 denominators")
     digits = np.ascontiguousarray(digits, dtype=np.int64)
     bases = np.ascontiguousarray(bases, dtype=np.int64)
-    count = depths.size
-    num = np.zeros(count, dtype=np.int64)
-    den = np.ones(count, dtype=np.int64)
-    # one Horner step per depth over the slice of points that can still be
-    # live: point m reads index m + i, and m + depths[m] <= need, so every
-    # point with m >= c is already finished at step i
-    for i in range(int(depths.max())):
-        c = min(count, bases.size - i, digits.size - i)
-        live = depths[:c] > i
-        q = np.where(live, bases[i : i + c], 1)
-        head = num[:c]
-        head *= q
-        head += np.where(live, digits[i : i + c], 0)
-        den[:c] *= q
+    # one Horner step per depth over every start at once
+    num = digits[:count].copy()
+    den = bases[:count].copy()
+    for i in range(1, depth):
+        q = bases[i : i + count]
+        num *= q
+        num += digits[i : i + count]
+        den *= q
     return num, den

@@ -85,9 +85,10 @@ def orbit_values(
     and rounded down where that would give 1.0, so it lies in [0, 1); it
     carries up to 2**-53 of float rounding on top of its `eps`.
 
-    The indices go in blocks of _ORBIT_CHUNK. On a nondecreasing sequence a
-    block whose points share one depth d and read one base c throughout, with
-    c**d <= 2**61, takes the run route: one scalar Horner pass over digit
+    The indices go in blocks of _ORBIT_CHUNK, also cut at each index where
+    the default depth steps up, so every block has one depth d. On a
+    nondecreasing sequence a block whose points read one base c throughout,
+    with c**d <= 2**61, takes the run route: one scalar Horner pass over digit
     slices in a reused int64 buffer, over the constant denominator c**d.
     Every other block goes to `kernels.orbit_numbers`, whose span check alone
     refuses denominators past int64; both routes give the same bits."""
@@ -95,35 +96,31 @@ def orbit_values(
         raise ArgumentError(f"orbit count must be >= 0, got {count}")
     if count == 0:
         return np.empty(0), np.empty(0)
-    if depth is None:
-        ladder = PartitionIndex(seq).boundaries_through(count)
-        boundaries = np.asarray(ladder, dtype=np.int64)[1:]
+    if depth is not None and depth < 1:
+        raise ArgumentError(f"truncation depth must be >= 1, got {excerpt(depth)}")
+    pi = PartitionIndex(seq)
 
-        def depths_of(lo: int, hi: int) -> np.ndarray:
-            # region lookup for every m at once; m = 0 shares region 1's depth
-            r_per_m = np.searchsorted(boundaries, np.arange(lo, hi), side="left") + 1
-            return np.sqrt(r_per_m.astype(np.float64)).astype(np.int64)
-    else:
-        if depth < 1:
-            raise ArgumentError(f"truncation depth must be >= 1, got {excerpt(depth)}")
+    def depth_at(m: int) -> int:
+        return truncation_depth(pi, m) if depth is None else int(depth)
 
-        def depths_of(lo: int, hi: int) -> np.ndarray:
-            return np.full(hi - lo, int(depth), dtype=np.int64)
-
+    # the default depth can only step up just past a region boundary
+    steps = [] if depth is not None else [
+        b + 1 for b in pi.boundaries_through(count)
+        if b + 1 < count and depth_at(b + 1) > depth_at(b)
+    ]
     # depths never decrease with m, so the last index reads furthest
-    need = count - 1 + int(depths_of(count - 1, count)[0])
+    need = count - 1 + depth_at(count - 1)
     digits = E.prefix(need) if isinstance(E, DigitSequence) else np.asarray(E, dtype=np.int64)
     if digits.size < need:
         raise ArgumentError(f"orbit evaluation needs {need} digits/bases")
     values = np.empty(count)
     eps = np.empty(count)
     acc = np.empty(min(_ORBIT_CHUNK, count), dtype=np.int64)  # run-route numerators
-    for lo in range(0, count, _ORBIT_CHUNK):
-        hi = min(lo + _ORBIT_CHUNK, count)
-        # depths never decrease, so equal ends mean one depth d over the block
-        d = int(depths_of(hi - 1, hi)[0])
+    starts = sorted(set(range(0, count, _ORBIT_CHUNK)).union(steps))
+    for lo, hi in zip(starts, starts[1:] + [count]):
+        d = depth_at(lo)
         top = hi - 1 + d
-        c = _run_base(seq, lo + 1, top, d) if int(depths_of(lo, lo + 1)[0]) == d else None
+        c = _run_base(seq, lo + 1, top, d)
         if c is not None:
             num, den = acc[: hi - lo], float(c**d)
             num[:] = digits[lo:hi]
@@ -131,7 +128,7 @@ def orbit_values(
                 num *= c
                 num += digits[lo + i : hi + i]
         else:
-            num, den = orbit_numbers(digits[lo:top], seq.bases(lo + 1, top), depths_of(lo, hi))
+            num, den = orbit_numbers(digits[lo:top], seq.bases(lo + 1, top), d)
         np.divide(num, den, out=values[lo:hi])
         np.minimum(values[lo:hi], _BELOW_ONE, out=values[lo:hi])
         np.divide(1.0, den, out=eps[lo:hi])
@@ -202,9 +199,17 @@ def _sorted_discrepancies(xs: np.ndarray) -> tuple[float, float]:
     return float(max(high, 1.0 / n - low)), float(1.0 / n + high - low)
 
 
-def _sample_discrepancies(values) -> tuple[float, float]:
-    """Star and extreme discrepancy of a float sample from one sort."""
-    return _sorted_discrepancies(np.sort(np.asarray(values, dtype=np.float64)))
+def _sample_discrepancies(values) -> tuple:
+    """Star and extreme discrepancy of a sample from one sort: exact
+    Fractions for rational inputs, floats from numpy otherwise."""
+    exact = _exact_values(values)
+    if exact is None:
+        return _sorted_discrepancies(np.sort(np.asarray(values, dtype=np.float64)))
+    _check_unit(exact)
+    n = len(exact)
+    diffs = [Fraction(i, n) - x for i, x in enumerate(sorted(exact), start=1)]
+    low, high = min(diffs), max(diffs)
+    return max(high, Fraction(1, n) - low), Fraction(1, n) + high - low
 
 
 def star_discrepancy(values):
@@ -212,28 +217,12 @@ def star_discrepancy(values):
 
     Rational inputs give an exact Fraction; float inputs use numpy.
     """
-    exact = _exact_values(values)
-    if exact is not None:
-        n = len(exact)
-        _check_unit(exact)
-        xs = sorted(exact)
-        return max(
-            max(Fraction(i, n) - x, x - Fraction(i - 1, n))
-            for i, x in enumerate(xs, start=1)
-        )
     return _sample_discrepancies(values)[0]
 
 
 def extreme_discrepancy(values):
     """Exact two-sided discrepancy: 1/N + max_i(i/N - x_i) - min_i(i/N - x_i)
     over the sorted sample. Equals the supremum over all half-open intervals."""
-    exact = _exact_values(values)
-    if exact is not None:
-        n = len(exact)
-        _check_unit(exact)
-        xs = sorted(exact)
-        diffs = [Fraction(i, n) - x for i, x in enumerate(xs, start=1)]
-        return Fraction(1, n) + max(diffs) - min(diffs)
     return _sample_discrepancies(values)[1]
 
 

@@ -183,10 +183,8 @@ def count_block(E, block, n: int) -> int:
     An occurrence is counted at its start even if it extends past n, so the
     buffer must reach position n + len(block) - 1.
     """
-    b = _as_block(block)
     check_position(n)
-    digits = _digit_buffer(E, n + len(b) - 1)
-    return int(match_mask(digits, b, n).sum())
+    return count_block_checkpoints(E, block, [n])[0]
 
 
 def count_block_checkpoints(E, block, checkpoints) -> list[int]:

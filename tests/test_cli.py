@@ -81,16 +81,25 @@ PERIODIC_WIDE_SEQ = parse_sequence_spec(PERIODIC_WIDE)
 PERIODIC_WIDE_DIGITS = constructed_digits(PERIODIC_WIDE_SEQ).prefix(1500)
 
 
+def _old_json(values) -> bytes:
+    return (json.dumps({"seq": PERIODIC_WIDE_SEQ.to_json(), "digits": [int(d) for d in values]},
+                       sort_keys=True) + "\n").encode()
+
+
 @settings(max_examples=60, deadline=None)
 @given(rows=st.integers(1, 300), count=st.integers(0, 1500))
 def test_chunks_join_to_the_whole_body(rows, count):
     digits = PERIODIC_WIDE_DIGITS[:count]
-    for fmt, render in (("csv", _old_csv), ("raw", _old_raw)):
+    for fmt, render in (("csv", _old_csv), ("raw", _old_raw), ("json", _old_json)):
         with mock.patch.object(cli, "_EMIT_ROWS", rows):
             chunks = list(cli._format_digit_output(SimpleNamespace(format=fmt),
                                                    PERIODIC_WIDE_SEQ, digits))
-        assert [c.count(b"\n") for c in chunks] == [min(rows, count - lo)
-                                                   for lo in range(0, count, rows)]
+        if fmt == "json":  # the opening, one chunk per slice of digits, the closing
+            assert [c.count(b",") for c in chunks[1:-1]] == [
+                min(rows, count - lo) - (lo == 0) for lo in range(0, count, rows)]
+        else:
+            assert [c.count(b"\n") for c in chunks] == [min(rows, count - lo)
+                                                       for lo in range(0, count, rows)]
         assert b"".join(chunks) == render(digits)
 
 
@@ -111,12 +120,16 @@ HEAD_CYCLE_SPECS = {
     "log-of-table": f'json:{{"kind":"pointwise","op":"log-of","of":{TABLE}}}',
     "half-of-periodic": 'json:{"kind":"pointwise","op":"half-of",'
                         '"of":{"kind":"periodic","bases":[9,4,7]}}',
+    # the default depth steps from 1 to 2 at m = 10000: the orbit kernel on
+    # both sides of a depth step
+    "periodic-2-3": "periodic:2,3",
 }
 HEAD_CYCLE_COMMANDS = {
     "digits": ("digits", "--count", "3000", "--format", "csv"),
     "stats": ("stats", "--blocks", "all:2", "--checkpoints", "100,1000,10000"),
     "discrepancy": ("discrepancy", "--checkpoints", "100,1000,10000"),
     "diagnose": ("diagnose", "--block", "1,0", "--checkpoints", "10,100,1000,10000"),
+    "discrepancy-past-10000": ("discrepancy", "--checkpoints", "1000,10000,10001,20000"),
 }
 # SHA-256 of stdout for the sequence kinds the benchmark's pinned digests
 # never run: every benchmark sequence is nondecreasing
@@ -143,6 +156,8 @@ HEAD_CYCLE_SHA256 = {
         "2aec467572c76f1951aac05a9bcc5d24203d8de0c3a5822ef59cbe212b672276",
     ("half-of-periodic", "diagnose"):
         "b83838897c2853f35dabf1a73527ea391986696782f1d072a3dca065a94e59bd",
+    ("periodic-2-3", "discrepancy-past-10000"):
+        "9415020d0fc079ad74a12221315877092ddf88de2c2a808644ca47d555594fdd",
 }
 
 

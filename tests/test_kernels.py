@@ -36,10 +36,10 @@ def _match_mask_reference(digits, block, n):
     return out
 
 
-def _orbit_numbers_reference(digits, bases, depths):
+def _orbit_numbers_reference(digits, bases, depth):
     """Numerators and denominators as Python ints, which never wrap."""
     num, den = [], []
-    for m, depth in enumerate(depths):
+    for m in range(len(digits) - depth + 1):
         a, d = 0, 1
         for i in range(depth):
             q = int(bases[m + i])
@@ -114,31 +114,34 @@ def test_match_mask_shortfall():
 
 def test_orbit_numbers_matches_reference_loop():
     rng = np.random.default_rng(3)
-    size, count = 400, 390
+    size = 400
     bases = rng.integers(2, 5, size=size).astype(np.int64)
     digits = (rng.integers(0, 10, size=size) % bases).astype(np.int64)
-    # non-monotone depths, some 0, and the last points read through the last base
-    depths = rng.integers(0, 16, size=count).astype(np.int64)
-    depths[-10:] = size - np.arange(count - 10, count)
-    assert (depths == 0).any() and (np.diff(depths) < 0).any()
-    got = orbit_numbers(digits, bases, depths)
-    want = _orbit_numbers_reference(digits, bases, depths)
-    assert got[0].tolist() == want[0] and got[1].tolist() == want[1]
+    for depth in range(1, 17):
+        # the last start reads through the last base; longer bases are ignored
+        got = orbit_numbers(digits, np.append(bases, 7), depth)
+        want = _orbit_numbers_reference(digits, bases, depth)
+        assert got[0].tolist() == want[0] and got[1].tolist() == want[1]
+        assert got[0].size == size - depth + 1
 
 
 def test_orbit_numbers_exact_small():
     bases = np.array([2, 3, 2], dtype=np.int64)
     digits = np.array([1, 2, 1], dtype=np.int64)
-    num, den = orbit_numbers(digits, bases, np.array([3], dtype=np.int64))
+    num, den = orbit_numbers(digits, bases, 3)
     # 1/2 + 2/6 + 1/12 = 11/12
-    assert (int(num[0]), int(den[0])) == (11, 12)
+    assert (num.tolist(), den.tolist()) == ([11], [12])
 
 
 def test_orbit_numbers_depth_guard():
     bases = np.full(100, 9, dtype=np.int64)
     digits = np.zeros(100, dtype=np.int64)
-    with pytest.raises(ArgumentError):
-        orbit_numbers(digits, bases, np.array([30], dtype=np.int64))
+    with pytest.raises(ArgumentError, match="int64 denominators"):
+        orbit_numbers(digits, bases, 30)
+    # arrays too short for the depth, or bases shorter than the digits
+    for d, b, depth in ((digits[:29], bases, 30), (digits, bases[:99], 3), (digits, bases, 0)):
+        with pytest.raises(ArgumentError, match="needs|must be >= 1"):
+            orbit_numbers(d, b, depth)
 
 
 @pytest.mark.parametrize(
@@ -154,11 +157,10 @@ def test_orbit_numbers_at_widest_depth(pattern, widest):
     bases = np.resize(np.asarray(pattern, dtype=np.int64), size)
     rng = np.random.default_rng(widest)
     # from every start of the mixed pattern, too, `widest` steps stay within 61.5 bits
-    depths = np.full(size - widest, widest, dtype=np.int64)
     for digits in (bases - 1, rng.integers(0, bases)):
-        got = orbit_numbers(digits, bases, depths)
-        want = _orbit_numbers_reference(digits, bases, depths)
+        got = orbit_numbers(digits, bases, widest)
+        want = _orbit_numbers_reference(digits, bases, widest)
         assert got[0].tolist() == want[0] and got[1].tolist() == want[1]
     assert int(got[1][0]) == int(np.prod(bases[:widest].astype(object)))
     with pytest.raises(ArgumentError, match="int64 denominators"):
-        orbit_numbers(digits, bases, np.array([widest + 1], dtype=np.int64))
+        orbit_numbers(digits, bases, widest + 1)

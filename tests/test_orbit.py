@@ -1,4 +1,5 @@
 import contextlib
+import itertools
 import math
 from fractions import Fraction
 from unittest import mock
@@ -289,14 +290,18 @@ def test_report_rows_equal_two_sort_formulas(c2, log_preset):
 
 
 def _orbit_values_unblocked(seq, digits, count, depth):
-    """One orbit_numbers call over the whole index range, depths per m."""
+    """One orbit_numbers call per maximal index range of one depth, which
+    reads the depth rule per m and knows no blocks, cuts or run route."""
     pi = PartitionIndex(seq)
-    depths = np.array(
-        [truncation_depth(pi, m) if depth is None else depth for m in range(count)],
-        dtype=np.int64,
-    )
-    need = int((np.arange(count) + depths).max())
-    num, den = orbit_numbers(np.asarray(digits)[:need], seq.bases(1, need), depths)
+    per_m = [truncation_depth(pi, m) if depth is None else depth for m in range(count)]
+    num, den, lo = [], [], 0
+    for d, run in itertools.groupby(per_m):
+        hi = lo + len(list(run))
+        got = orbit_numbers(np.asarray(digits)[lo:hi - 1 + d], seq.bases(lo + 1, hi - 1 + d), d)
+        num.append(got[0])
+        den.append(got[1])
+        lo = hi
+    num, den = np.concatenate(num), np.concatenate(den)
     return num / den, 1.0 / den
 
 
@@ -444,12 +449,30 @@ def test_orbit_run_route_skips_the_kernel():
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
+@pytest.mark.parametrize("seq, count, step", [
+    (ConstantSequence(2), 700, 623),  # depth 1 to 2
+    (PeriodicSequence([2, 3]), 10_100, 10_000),  # depth 1 to 2, not nondecreasing
+])
+def test_orbit_block_is_cut_at_a_depth_step(seq, count, step):
+    pi = PartitionIndex(seq)
+    assert truncation_depth(pi, step - 1) < truncation_depth(pi, step)
+    E = constructed_digits(seq)
+    want = _orbit_values_unblocked(seq, E.prefix(count + 2), count, None)
+    with mock.patch.object(orbit, "orbit_numbers", wraps=orbit_numbers) as kernel:
+        got = orbit_values(seq, E, count, depth=None)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    if seq.nondecreasing:  # one base on each side of the step: two run-route blocks
+        assert kernel.call_count == 0
+    else:  # two kernel blocks, each of one depth
+        assert [(c.args[0].size - c.args[2] + 1, c.args[2]) for c in kernel.call_args_list] == [
+            (step, 1), (count - step, 2)]
+
+
 @pytest.mark.parametrize("seq, count, depth", [
-    (ConstantSequence(2), 700, None),  # depth 1 to 2 at m = 623
     (PresetSequence("iterated-log"), 300, None),  # base 2 to 3 at position 252
     (PresetSequence("iterated-log"), 250, 3),  # the last point reads position 252
 ])
-def test_orbit_block_across_a_step_takes_the_kernel(seq, count, depth):
+def test_orbit_block_across_a_base_step_takes_the_kernel(seq, count, depth):
     E = constructed_digits(seq)
     want = _orbit_values_unblocked(seq, E.prefix(count + 3), count, depth)
     with mock.patch.object(orbit, "orbit_numbers", wraps=orbit_numbers) as kernel:
