@@ -16,7 +16,7 @@ from .errors import (
     ScanBoundError,
 )
 from .generator import OccurrenceCounters, digit_at, digit_stream, generate_digits
-from .ladder import BaseWindow, PartitionIndex, block_from_index, index_from_block
+from .ladder import PartitionIndex, block_from_index
 from .orbit import (
     DiscrepancyReport,
     OrbitPoint,
@@ -51,7 +51,6 @@ from .stats import (
     starred_variants,
 )
 from .transforms import (
-    ModulusOfDivergence,
     Schedule,
     UDSource,
     build_orbit_sink,
@@ -59,8 +58,7 @@ from .transforms import (
     build_half_range,
     clip_digits,
     clip_chain,
-    ud_source,
 )
-from .values import CertifiedInterval, mod1_scale, prefix_value, to_base_b
+from .values import CertifiedInterval, prefix_value, to_base_b
 
 __version__ = "0.1.0"

@@ -16,7 +16,6 @@ import os
 import sys
 from collections.abc import Iterable, Iterator
 from decimal import Decimal
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -260,7 +259,7 @@ def _cmd_construct(args) -> None:
         "format": args.format,
         "ud": getattr(args, "ud", None),
         "log_base": args.log_base,
-        "graph": E.describe(),
+        "graph": E.description,
     }
     if clamp_events is not None:
         params["clamp_events"] = clamp_events.events
@@ -356,9 +355,9 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, target=False):
         p.add_argument("--seq", required=True, help="constant:b | periodic:a,b | preset:name | file:path")
         p.add_argument("--manifest", help="write a reproducibility manifest to this path")
-        p.add_argument("--log-base", default="e", choices=("e", "2", "10"),
-                       help="log base used by derived companion sequences")
         if target:
+            p.add_argument("--log-base", default="e", choices=("e", "2", "10"),
+                           help="log base used by derived companion sequences")
             p.add_argument("--target", default="xq", choices=TARGETS)
             p.add_argument("--ud", default="vdc", choices=UDSource.KINDS)
 

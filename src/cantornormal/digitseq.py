@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import ArgumentError, InsufficientDigitsError, excerpt
 from .generator import generate_digits
-from .sequences import BasicSequence, check_position
+from .sequences import BasicSequence, check_length, check_position
 
 log = logging.getLogger("cantornormal")
 
@@ -35,6 +35,7 @@ class DigitSequence:
         """Digits at positions 1..n (a read-only view)."""
         if n < 0:
             raise ArgumentError(f"prefix length must be >= 0, got {excerpt(n)}")
+        check_length(n)
         if n > self._buf.size:
             grow = max(n, 2 * self._buf.size, 64)
             try:
@@ -53,9 +54,6 @@ class DigitSequence:
     def digit(self, n: int) -> int:
         check_position(n)
         return int(self.prefix(n)[n - 1])
-
-    def describe(self) -> dict:
-        return self.description
 
 
 def constructed_digits(seq: BasicSequence) -> DigitSequence:

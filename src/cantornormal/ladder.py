@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import os
 from bisect import bisect_left
-from dataclasses import dataclass
 
 from .errors import ArgumentError, ScanBoundError
 from .sequences import BasicSequence, check_position
@@ -28,24 +27,6 @@ def _scan_bound_default() -> int:
         except ValueError as exc:
             raise ArgumentError(f"{SCAN_BOUND_ENV} must be an integer, got {raw!r}") from exc
     return DEFAULT_SCAN_BOUND
-
-
-@dataclass(frozen=True)
-class BaseWindow:
-    """One window of r consecutive bases starting at `start`."""
-
-    r: int
-    j: int
-    start: int
-    bases: tuple
-
-    @property
-    def end(self) -> int:
-        return self.start + self.r - 1
-
-    @property
-    def product(self) -> int:
-        return math.prod(self.bases)
 
 
 class PartitionIndex:
@@ -115,16 +96,6 @@ class PartitionIndex:
             self.boundary(len(self._N))
         return self._N[1:]
 
-    def window_at(self, n: int) -> tuple[BaseWindow, int]:
-        """The window containing position n and n's 1-based offset inside it."""
-        r = self.region_of(n)
-        lo, _ = self.region(r)
-        j = (n - lo - 1) // r
-        offset = (n - lo - 1) % r + 1
-        start = lo + j * r + 1
-        bases = tuple(int(b) for b in self.seq.bases(start, start + r - 1))
-        return BaseWindow(r=r, j=j, start=start, bases=bases), offset
-
 
 def block_from_index(radices, i: int) -> tuple:
     """The i-th digit block below `radices` in lexicographic order (1-based i).
@@ -141,17 +112,3 @@ def block_from_index(radices, i: int) -> tuple:
         out[pos] = v % radices[pos]
         v //= radices[pos]
     return tuple(out)
-
-
-def index_from_block(radices, block) -> int:
-    """Inverse of block_from_index."""
-    radices = [int(b) for b in radices]
-    block = [int(d) for d in block]
-    if len(block) != len(radices):
-        raise ArgumentError(f"block length {len(block)} != window length {len(radices)}")
-    v = 0
-    for d, b in zip(block, radices):
-        if not 0 <= d < b:
-            raise ArgumentError(f"digit {d} not below base {b}")
-        v = v * b + d
-    return v + 1

@@ -172,9 +172,8 @@ def orbit_exact_finite(seq: BasicSequence, x, m: int) -> Fraction:
 def _exact_values(values) -> list[Fraction] | None:
     if isinstance(values, np.ndarray):
         return None
-    vals = list(values)
-    if vals and all(isinstance(v, Rational) and not isinstance(v, float) for v in vals):
-        return [Fraction(v) for v in vals]
+    if values and all(isinstance(v, Rational) and not isinstance(v, float) for v in values):
+        return [Fraction(v) for v in values]
     return None
 
 
@@ -202,6 +201,8 @@ def _sorted_discrepancies(xs: np.ndarray) -> tuple[float, float]:
 def _sample_discrepancies(values) -> tuple:
     """Star and extreme discrepancy of a sample from one sort: exact
     Fractions for rational inputs, floats from numpy otherwise."""
+    if not isinstance(values, np.ndarray):
+        values = list(values)  # both paths read it, and an iterator reads only once
     exact = _exact_values(values)
     if exact is None:
         return _sorted_discrepancies(np.sort(np.asarray(values, dtype=np.float64)))

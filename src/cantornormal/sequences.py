@@ -18,6 +18,7 @@ import itertools
 import json
 import math
 import operator
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,13 @@ _POSITION_BIT_CAP = 10**7  # refuse positions that need more bits than this
 def check_position(n: int) -> None:
     if n < 1:
         raise ArgumentError(f"positions are 1-based, got {excerpt(n)}")
+
+
+def check_length(n: int) -> None:
+    """Refuse an int64 array of n entries, which numpy cannot address when
+    n * 8 bytes exceed sys.maxsize."""
+    if n * 8 > sys.maxsize:
+        raise ArgumentError(f"a length of {excerpt(n)} is past what an int64 array can address")
 
 
 def floor_log2(v: int) -> int:
@@ -167,6 +175,7 @@ class BasicSequence:
     def bases(self, lo: int, hi: int) -> np.ndarray:
         """Bases at positions lo..hi inclusive, as int64: repeated out of
         base_runs on a nondecreasing kind, else gathered from head and cycle."""
+        check_length(hi - lo + 1)
         if self.nondecreasing:
             runs = self.base_runs(lo, hi)
             return np.repeat(_int64([c for _, _, c in runs]), [b - a for a, b, _ in runs])

@@ -67,7 +67,7 @@ def clip_digits(x: DigitSequence, target: BasicSequence) -> DigitSequence:
         return np.minimum(x.prefix(n), target.bases(1, n) - 1)
 
     return DigitSequence(
-        target, source, {"op": "clip", "seq": target.to_json(), "of": x.describe()}
+        target, source, {"op": "clip", "seq": target.to_json(), "of": x.description}
     )
 
 
@@ -168,11 +168,6 @@ def _check_lead_width(bits: int, q: np.ndarray, driver: str) -> None:
         )
 
 
-def ud_source(kind: str, n: int) -> Fraction:
-    """The n-th term of the requested uniformly distributed driver."""
-    return UDSource(kind).value(n)
-
-
 # ---------------------------------------------------------------------------
 # witnesses built from the clip map
 # ---------------------------------------------------------------------------
@@ -207,34 +202,29 @@ def build_half_range(Q: BasicSequence, *, log_base: str = "e") -> DigitSequence:
 # divergence modulus
 # ---------------------------------------------------------------------------
 
-class ModulusOfDivergence:
+def divergence_modulus(seq: BasicSequence, n: int) -> int:
     """For a threshold n, the least position t with log(q_j) > n for all
     j >= t. Read from the sequence's closed-form first_position, so only
     nondecreasing unbounded sequences have one."""
-
-    def __init__(self, seq: BasicSequence):
-        if not (seq.infinite_in_limit and seq.nondecreasing):
-            raise ArgumentError(
-                "a divergence modulus can only be derived for nondecreasing "
-                "unbounded sequences"
-            )
-        self.seq = seq
-
-    def __call__(self, n: int) -> int:
-        if n < 0:
-            raise ArgumentError(f"divergence threshold must be >= 0, got {n}")
-        if n > 700:
-            raise ScanBoundError("divergence modulus capped at threshold 700")
-        c = math.floor(math.exp(n)) + 1  # least integer base with log(base) > n
-        t = self.seq.first_position(c)
-        # spot check: the claim must hold at t and (for minimality) fail before it
-        if math.log(self.seq.base_at(t)) <= n:
-            raise ArgumentError(
-                f"divergence modulus {t} inconsistent: log base at {t} is not above {n}"
-            )
-        if t > 1 and math.log(self.seq.base_at(t - 1)) > n:
-            raise ArgumentError(f"divergence modulus {t} is not minimal for threshold {n}")
-        return t
+    if not (seq.infinite_in_limit and seq.nondecreasing):
+        raise ArgumentError(
+            "a divergence modulus can only be derived for nondecreasing "
+            "unbounded sequences"
+        )
+    if n < 0:
+        raise ArgumentError(f"divergence threshold must be >= 0, got {n}")
+    if n > 700:
+        raise ScanBoundError("divergence modulus capped at threshold 700")
+    c = math.floor(math.exp(n)) + 1  # least integer base with log(base) > n
+    t = seq.first_position(c)
+    # spot check: the claim must hold at t and (for minimality) fail before it
+    if math.log(seq.base_at(t)) <= n:
+        raise ArgumentError(
+            f"divergence modulus {t} inconsistent: log base at {t} is not above {n}"
+        )
+    if t > 1 and math.log(seq.base_at(t - 1)) > n:
+        raise ArgumentError(f"divergence modulus {t} is not minimal for threshold {n}")
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -244,10 +234,10 @@ class ModulusOfDivergence:
 class Schedule:
     """Threshold schedule driving the patched uniform stream.
 
-    All predicates are evaluated exactly: the log-mass comparison reduces to
-    an integer product inequality, and the expected-count comparison stays
-    in rationals. That makes the minimality
-    certificates (predicate false at t-1, true at t) bit-for-bit checkable.
+    Both thresholds are found exactly: the log-mass comparison reduces to an
+    integer product inequality, and the expected-count comparison stays in
+    rationals. That makes the minimality certificates (condition false at
+    t-1, true at t) bit-for-bit checkable.
     """
 
     def __init__(
@@ -264,33 +254,14 @@ class Schedule:
 
     # -- log-mass threshold ------------------------------------------------
 
-    def _leading_mass_products(self, n: int) -> int:
-        start = self.level(n - 1)
-        inner = 1
-        for i in range(1, n + 1):
-            inner *= self.target.base_at(start + i)
-        return inner**n
-
-    def log_mass_predicate(self, n: int, j: int) -> bool:
-        """Exact check that the leading log mass is below 1/n of the mass
-        accumulated through position j."""
-        if n < 1:
-            raise ArgumentError(f"schedule step must be >= 1, got {n}")
-        start = self.level(n - 1)
-        if j <= start:
-            return False
-        den = 1
-        for pos in range(start + 1, j + 1):
-            den *= self.target.base_at(pos)
-        return self._leading_mass_products(n) < den
-
     def log_mass_threshold(self, n: int) -> int:
-        """Least position past which the predicate holds for good (the mass
-        ratio is monotone, so the first hit is final)."""
+        """Least position j at which n times the log mass of the n bases
+        after L(n-1) is below the log mass of the bases from L(n-1) + 1
+        through j; the mass ratio is monotone, so the first hit is final."""
         if n < 1:
             raise ArgumentError(f"schedule step must be >= 1, got {n}")
         start = self.level(n - 1)
-        numerator = self._leading_mass_products(n)
+        numerator = math.prod(self.target.base_at(start + i) for i in range(1, n + 1)) ** n
         den = 1
         j = start
         while True:
@@ -305,23 +276,6 @@ class Schedule:
                 return j
 
     # -- expected-count threshold -------------------------------------------
-
-    def _donor_count(self, block: tuple, m: int) -> Fraction:
-        return expected_count(self.donor, block, m) if m >= 1 else Fraction(0)
-
-    def count_threshold_predicate(self, n: int, k: int, j: int) -> bool:
-        """Exact check that every relevant length-k block's target expected
-        count is below 1/n of the accumulated donor expected counts at j."""
-        if not 1 <= k <= n:
-            raise ArgumentError(f"block length {k} must lie in 1..{n}")
-        for block in admissible_blocks(self.target, k, n):
-            goal = n * expected_count(self.target, block, n)
-            acc = Fraction(0)
-            for i in range(1, j + 1):
-                acc += self._donor_count(block, i - k + 1)
-            if not goal < acc:
-                return False
-        return True
 
     def count_threshold(self, n: int, k: int) -> int:
         if not 1 <= k <= n:
@@ -361,7 +315,7 @@ class Schedule:
             terms = {
                 # the threshold scans work for any target; only the ladder
                 # itself needs a divergence modulus
-                "modulus": ModulusOfDivergence(self.target)(step),
+                "modulus": divergence_modulus(self.target, step),
                 "square": prev + step * step,
                 "log-mass": prev + self.log_mass_threshold(step),
                 "blocks": max(self.count_threshold(step, k) for k in range(1, step + 1)),
@@ -381,15 +335,6 @@ class Schedule:
         while self.level(j + 1) <= n:
             j += 1
         return j
-
-    def segment_positions(self, upto: int) -> list[int]:
-        """All donor-patched positions <= upto."""
-        out = []
-        i = 1
-        while self.level(i) <= upto:
-            out.extend(range(self.level(i), min(self.level(i) + i - 1, upto) + 1))
-            i += 1
-        return out
 
     # -- digits -------------------------------------------------------------
 

@@ -92,14 +92,6 @@ def base_digits(v: int, base: int, count: int) -> list[int]:
     return out
 
 
-def mod1_scale(x: Fraction, factors) -> Fraction:
-    """x times the product of the factors, reduced mod 1."""
-    y = Fraction(x)
-    for q in factors:
-        y *= int(q)
-    return y % 1
-
-
 def to_base_b(E: DigitSequence, base: int, count: int) -> list[int]:
     """The first `count` base-b digits of the number behind the stream.
 

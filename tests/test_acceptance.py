@@ -38,6 +38,8 @@ from cantornormal.kernels import match_mask
 from cantornormal.ladder import PartitionIndex
 from cantornormal.sequences import parse_sequence_spec
 
+from schedule_oracles import count_threshold_predicate, log_mass_predicate, segment_positions
+
 
 def _report(num, label, ok, detail=""):
     line = f"criterion {num:2d} ({label}): {'PASS' if ok else 'FAIL'}"
@@ -253,12 +255,12 @@ def test_criterion_09_schedule(log_preset):
     # minimality certificates
     for n in (1, 2, 3):
         t = sched.log_mass_threshold(n)
-        ok &= sched.log_mass_predicate(n, t)
-        ok &= not sched.log_mass_predicate(n, t - 1)
+        ok &= log_mass_predicate(sched, n, t)
+        ok &= not log_mass_predicate(sched, n, t - 1)
         for k in range(1, n + 1):
             u = sched.count_threshold(n, k)
-            ok &= sched.count_threshold_predicate(n, k, u)
-            ok &= u == 1 or not sched.count_threshold_predicate(n, k, u - 1)
+            ok &= count_threshold_predicate(sched, n, k, u)
+            ok &= u == 1 or not count_threshold_predicate(sched, n, k, u - 1)
         terms = sched.level_terms(n)
         ok &= sched.level(n) == max(terms.values()) >= terms["modulus"]
         ok &= sched.level(n) >= sched.level(n - 1) + n * n
@@ -266,7 +268,7 @@ def test_criterion_09_schedule(log_preset):
         ok &= sched.level(n) >= max(sched.count_threshold(n, k) for k in range(1, n + 1))
     # density of the donor-patched set decreases
     N = 10**4
-    segments = sched.segment_positions(N)
+    segments = segment_positions(sched, N)
     density = [sum(1 for p in segments if p <= n) / n for n in (10**2, 10**3, 10**4)]
     ok &= density[0] > density[1] > density[2]
     # scaled digits equidistribute: discrepancy decreases along the ladder

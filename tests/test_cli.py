@@ -293,7 +293,9 @@ BAD_SEQ_JSON = ['{"kind":"constant"}', '{"kind":"preset"}', '{"kind":"pointwise"
      "huge-constant", "huge-periodic", "huge-checkpoints", "huge-depth", "long-count",
      "int64-block-digit", "int64-diagnose-digit", "long-negative-all-blocks-checkpoint",
      "int64-periodic-diagnose", "int64-table-diagnose", "int64-constant-stats",
-     "int64-constant-discrepancy"]
+     "int64-constant-discrepancy", "past-int64-count", "past-int64-construct-count",
+     "past-int64-exact", "past-int64-checkpoint", "past-int64-periodic-checkpoint",
+     "past-int64-diagnose-checkpoint", "past-int64-depth"]
     + [f"digit-json {text}" for text in BAD_DIGIT_JSON_FILES]
     + [f"json-seq {text}" for text in BAD_SEQ_JSON],
 )
@@ -315,6 +317,8 @@ def test_bad_input_exits_2(capsys, tmp_path, case):
     six_digits = tmp_path / "six.csv"
     six_digits.write_text("1,0\n2,1\n3,0\n4,1\n5,0\n6,1\n")
     wide = 2**70  # bulk base arrays are int64
+    # no int64 array has this many entries; numpy refuses it before allocating
+    past = "9" * 20
     argv = {
         "bad-json-seq": ("digits", "--seq", "json:{bad", "--count", "4"),
         "bad-json-seq-file": ("digits", "--seq", f"file:{seq_file}", "--count", "4"),
@@ -370,6 +374,18 @@ def test_bad_input_exits_2(capsys, tmp_path, case):
                                  "--checkpoints", "3", "--source", f"file:{six_digits}"),
         "int64-constant-discrepancy": ("discrepancy", "--seq", f"constant:{wide}",
                                        "--checkpoints", "3", "--source", f"file:{six_digits}"),
+        "past-int64-count": ("digits", "--seq", "constant:2", "--count", past),
+        "past-int64-construct-count": ("construct", "--seq", "preset:log", "--target",
+                                       "nq-not-dnq", "--count", past),
+        "past-int64-exact": ("value", "--seq", "constant:2", "--exact", past),
+        "past-int64-checkpoint": ("stats", "--seq", "constant:2", "--blocks", "0",
+                                  "--checkpoints", past),
+        "past-int64-periodic-checkpoint": ("stats", "--seq", "periodic:2,3", "--blocks",
+                                           "all:1", "--checkpoints", past),
+        "past-int64-diagnose-checkpoint": ("diagnose", "--seq", "periodic:2,3", "--block", "0",
+                                           "--checkpoints", f"10,{past}"),
+        "past-int64-depth": ("discrepancy", "--seq", "constant:2", "--depth",
+                             f"fixed:{2**63 - 1}", "--checkpoints", "10"),
     }[kind]
     code, _, err = run_cli(capsys, *argv)
     assert code == 2

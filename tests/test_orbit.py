@@ -22,7 +22,6 @@ from cantornormal import (
     orbit_discrepancy_report,
     extreme_discrepancy,
     finite_digits,
-    mod1_scale,
     orbit_exact_finite,
     orbit_truncated,
     orbit_values,
@@ -121,6 +120,17 @@ def test_star_vs_extreme_sandwich(xs):
     assert d <= 2 * d_star + 1e-12
 
 
+@pytest.mark.parametrize("fn", [star_discrepancy, extreme_discrepancy])
+def test_discrepancy_reads_any_iterable_once(fn):
+    floats = [0.5, 0.25, 0.875]
+    expect = fn(floats)
+    assert fn(x for x in floats) == expect
+    assert fn(np.asarray(floats)) == expect
+    exact = [Fraction(1, 2), Fraction(1, 4), Fraction(7, 8)]
+    got = fn(x for x in exact)
+    assert isinstance(got, Fraction) and got == fn(exact) == pytest.approx(expect)
+
+
 def test_sample_domain_validated():
     with pytest.raises(ArgumentError):
         star_discrepancy(np.array([0.5, 1.0]))
@@ -175,6 +185,15 @@ def test_orbit_exact_examples(c2):
     assert orbit_exact_finite(c2, Fraction(1, 3), 1) == Fraction(2, 3)
     assert orbit_exact_finite(c2, Fraction(1, 3), 2) == Fraction(1, 3)
     assert orbit_exact_finite(c2, [1], 1) == 0
+
+
+def mod1_scale(x: Fraction, factors) -> Fraction:
+    """x times the product of the factors, reduced mod 1: the orbit value
+    orbit_exact_finite reaches by another route."""
+    y = Fraction(x)
+    for q in factors:
+        y *= int(q)
+    return y % 1
 
 
 def test_mod1_scale_examples(c2):

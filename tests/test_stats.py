@@ -23,6 +23,7 @@ from cantornormal import (
     starred_variants,
 )
 from cantornormal.ladder import PartitionIndex
+from cantornormal.stats import window_end_positions
 
 
 def brute_expected(seq, block, n):
@@ -141,6 +142,23 @@ def test_single_digit_counts_partition_positions(c2):
     assert total == n
 
 
+def test_window_end_positions_match_regions(c2, p23, log_preset):
+    # walk the windows one by one: each region r tiles (lo, hi] with
+    # length-r windows, the first one starting at lo + 1
+    n = 3000
+    for seq in (c2, p23, log_preset):
+        pi = PartitionIndex(seq)
+        expect = []
+        start = 1
+        while start <= n:
+            r = pi.region_of(start)
+            lo, hi = pi.region(r)
+            assert (start - lo - 1) % r == 0 and start + r - 1 <= hi
+            expect += [start + r - 1] * r
+            start += r
+        assert window_end_positions(pi, n).tolist() == expect[:n]
+
+
 def test_starred_examples(c2):
     E = constructed_digits(c2)
     assert starred_variants(c2, E, [0], 24) == (Fraction(12), 12)
@@ -168,11 +186,8 @@ def test_starred_bounds(c2, c2_index):
             assert q_star <= q_full
             assert n_star <= n_full
             # the gap is at most (straddling positions) * max window mass
-            straddling = sum(
-                1
-                for i in range(1, n + 1)
-                if i + k - 1 > c2_index.window_at(i)[0].end
-            )
+            ends = window_end_positions(c2_index, n)
+            straddling = sum(1 for i in range(1, n + 1) if i + k - 1 > ends[i - 1])
             assert q_full - q_star <= Fraction(straddling, 2**k)
             assert n_full - n_star <= straddling
 

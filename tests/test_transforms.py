@@ -23,10 +23,11 @@ from cantornormal import (
     finite_digits,
     clip_digits,
     clip_chain,
-    ud_source,
 )
 from cantornormal import transforms
-from cantornormal.transforms import ModulusOfDivergence
+from cantornormal.transforms import divergence_modulus
+
+from schedule_oracles import count_threshold_predicate, log_mass_predicate, segment_positions
 
 
 # -- clip map ---------------------------------------------------------------
@@ -95,14 +96,14 @@ def test_chain_count_stability_donor3_to_4():
 # -- uniformly distributed drivers -----------------------------------------
 
 def test_vdc_values():
-    assert ud_source("vdc", 1) == Fraction(1, 2)
-    assert ud_source("vdc", 2) == Fraction(1, 4)
-    assert ud_source("vdc", 3) == Fraction(3, 4)
-    assert ud_source("vdc", 4) == Fraction(1, 8)
+    assert UDSource("vdc").value(1) == Fraction(1, 2)
+    assert UDSource("vdc").value(2) == Fraction(1, 4)
+    assert UDSource("vdc").value(3) == Fraction(3, 4)
+    assert UDSource("vdc").value(4) == Fraction(1, 8)
 
 
 def test_farey_values():
-    got = [ud_source("farey", n) for n in range(1, 11)]
+    got = [UDSource("farey").value(n) for n in range(1, 11)]
     assert got == [
         Fraction(0),
         Fraction(1, 2),
@@ -172,8 +173,8 @@ def test_half_range_ratio_balance(log_preset):
 def test_log_mass_example_constant2():
     s = Schedule(ConstantSequence(2))
     assert s.log_mass_threshold(1) == 2
-    assert not s.log_mass_predicate(1, 1)
-    assert s.log_mass_predicate(1, 2)
+    assert not log_mass_predicate(s, 1, 1)
+    assert log_mass_predicate(s, 1, 2)
 
 
 def test_log_mass_with_injected_level():
@@ -181,15 +182,15 @@ def test_log_mass_with_injected_level():
     s._levels = [0, 10]
     # exact product comparison: (2*2)**2 < 2**(j-10) first at j - 10 = 5
     assert s.log_mass_threshold(2) == 15
-    assert not s.log_mass_predicate(2, 14)
-    assert s.log_mass_predicate(2, 15)
+    assert not log_mass_predicate(s, 2, 14)
+    assert log_mass_predicate(s, 2, 15)
 
 
 def test_log_mass_monotone_stop():
     s = Schedule(PeriodicSequence([2, 3]))
     t = s.log_mass_threshold(1)
-    assert all(s.log_mass_predicate(1, j) for j in range(t, t + 10))
-    assert not any(s.log_mass_predicate(1, j) for j in range(1, t))
+    assert all(log_mass_predicate(s, 1, j) for j in range(t, t + 10))
+    assert not any(log_mass_predicate(s, 1, j) for j in range(1, t))
 
 
 def test_count_threshold_example():
@@ -198,8 +199,8 @@ def test_count_threshold_example():
     # at 8 (not above the goal) and 1/4 + 2/4 at 9
     s = Schedule(ConstantSequence(4))
     assert s.count_threshold(1, 1) == 9
-    assert s.count_threshold_predicate(1, 1, 9)
-    assert not s.count_threshold_predicate(1, 1, 8)
+    assert count_threshold_predicate(s, 1, 1, 9)
+    assert not count_threshold_predicate(s, 1, 1, 8)
     with pytest.raises(ArgumentError):
         s.count_threshold(1, 2)  # block length above the step
 
@@ -208,8 +209,8 @@ def test_count_threshold_certificate(log_preset):
     s = Schedule(log_preset)
     for n, k in ((2, 1), (2, 2), (3, 2)):
         t = s.count_threshold(n, k)
-        assert s.count_threshold_predicate(n, k, t)
-        assert t == 1 or not s.count_threshold_predicate(n, k, t - 1)
+        assert count_threshold_predicate(s, n, k, t)
+        assert t == 1 or not count_threshold_predicate(s, n, k, t - 1)
 
 
 def test_schedule_ladder_log_preset(log_preset):
@@ -230,7 +231,7 @@ def test_schedule_ladder_log_preset(log_preset):
 
 def test_schedule_segments_and_digits(log_preset):
     s = Schedule(log_preset)
-    assert s.segment_positions(10**4) == [4, 252, 253]
+    assert segment_positions(s, 10**4) == [4, 252, 253]
     donor_prefix = s.donor_digits.prefix(2)
     d = s.prefix(300)
     assert d[3] == donor_prefix[0]
@@ -259,15 +260,13 @@ def test_schedule_digits_follow_driver(log_preset):
 
 
 def test_modulus_of_divergence(log_preset, iterated_log):
-    mod = ModulusOfDivergence(log_preset)
-    assert mod(0) == 1
-    assert mod(1) == 4       # first base >= 3
-    assert mod(2) == 252     # first base >= 8
-    assert mod(3) == 2097148
-    mod2 = ModulusOfDivergence(iterated_log)
-    assert mod2(1) == 252    # iterated log reaches 3 at 2**8 - 4
+    assert divergence_modulus(log_preset, 0) == 1
+    assert divergence_modulus(log_preset, 1) == 4        # first base >= 3
+    assert divergence_modulus(log_preset, 2) == 252      # first base >= 8
+    assert divergence_modulus(log_preset, 3) == 2097148
+    assert divergence_modulus(iterated_log, 1) == 252    # iterated log reaches 3 at 2**8 - 4
     with pytest.raises(ArgumentError):
-        ModulusOfDivergence(ConstantSequence(5))
+        divergence_modulus(ConstantSequence(5), 0)
 
 
 def test_modulus_past_the_float_levels_is_a_scan_bound():
@@ -275,7 +274,7 @@ def test_modulus_past_the_float_levels_is_a_scan_bound():
     for seq in (IndexLogSequence("10"),
                 PointwiseSequence(PresetSequence("log"), "log-of", "10")):
         with pytest.raises(ScanBoundError):
-            ModulusOfDivergence(seq)(6)
+            divergence_modulus(seq, 6)
 
 
 @pytest.mark.parametrize("log_base, last", [("10", 308), ("e", 709)])
@@ -305,7 +304,7 @@ def test_modulus_runtime_checks(monkeypatch):
             monkeypatch.setattr(seq, "first_position",
                                 lambda c, s=shift: first_position(c) + s)
             with pytest.raises(ArgumentError, match=error):
-                ModulusOfDivergence(seq)(2)
+                divergence_modulus(seq, 2)
 
 
 def test_patched_stream_wiring(log_preset):
@@ -313,7 +312,7 @@ def test_patched_stream_wiring(log_preset):
     d = x.prefix(400)
     assert x.schedule.clamps.events == 0
     assert d.min() >= 0
-    assert x.describe()["op"] == "schedule-patch"
+    assert x.description["op"] == "schedule-patch"
     with pytest.raises(ArgumentError):
         build_patched_uniform(ConstantSequence(3))
 
