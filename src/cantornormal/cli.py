@@ -53,7 +53,7 @@ def _build_target(name: str, seq: BasicSequence, args) -> DigitSequence:
     if name == "rnq-not-nq":
         return build_half_range(seq, log_base=args.log_base)
     if name == "rnq-dnq-not-nq":
-        ud = UDSource(getattr(args, "ud", "vdc"))
+        ud = UDSource(args.ud)
         return build_patched_uniform(seq, ud=ud, log_base=args.log_base)
     raise ArgumentError(f"unknown target {name!r}; expected one of {TARGETS}")
 
@@ -94,9 +94,9 @@ def _load_digit_file(seq: BasicSequence, path: Path) -> DigitSequence:
 
 
 def _resolve_source(args, seq: BasicSequence) -> DigitSequence:
-    source = getattr(args, "source", "construct")
+    source = args.source
     if source == "construct":
-        return _build_target(getattr(args, "target", "xq"), seq, args)
+        return _build_target(args.target, seq, args)
     head, _, rest = source.partition(":")
     if head == "file":
         return _load_digit_file(seq, Path(rest))
@@ -139,7 +139,7 @@ def _emit(args, chunks: Iterable[bytes], manifest_params: dict) -> None:
     the digest, and the run still exits 0.
     """
     chunks = iter(chunks)
-    digest = hashlib.sha256() if getattr(args, "manifest", None) else None
+    digest = hashlib.sha256() if args.manifest else None
     try:
         sys.stdout.flush()
         for chunk in chunks:
@@ -158,7 +158,7 @@ def _emit(args, chunks: Iterable[bytes], manifest_params: dict) -> None:
     if digest is not None:
         manifest = {
             "subcommand": args.command,
-            "seq": getattr(args, "seq", None),
+            "seq": args.seq,
             "target": getattr(args, "target", None),
             "parameters": manifest_params,
             "version": __version__,
@@ -257,7 +257,7 @@ def _cmd_construct(args) -> None:
     params = {
         "count": args.count,
         "format": args.format,
-        "ud": getattr(args, "ud", None),
+        "ud": args.ud,
         "log_base": args.log_base,
         "graph": E.description,
     }
@@ -271,7 +271,7 @@ def _cmd_stats(args) -> None:
     E = _resolve_source(args, seq)
     cps = _parse_checkpoints(args.checkpoints)
     blocks = _parse_blocks(args.blocks, seq, max(cps))
-    report = normality_report(seq, E, blocks, cps)
+    report = normality_report(E, blocks, cps)
     if args.format == "json":
         body = json.dumps(report.to_json(), sort_keys=True) + "\n"
     else:
@@ -285,7 +285,7 @@ def _cmd_discrepancy(args) -> None:
     seq = parse_sequence_spec(args.seq)
     E = _resolve_source(args, seq)
     cps = _parse_checkpoints(args.checkpoints)
-    report = orbit_discrepancy_report(seq, E, cps, depth=_parse_depth(args.depth))
+    report = orbit_discrepancy_report(E, cps, depth=_parse_depth(args.depth))
     if args.format == "json":
         body = json.dumps(report.to_json(), sort_keys=True) + "\n"
     else:

@@ -19,8 +19,9 @@ class DigitSequence:
 
     The source callable maps a requested length to the array of that many
     leading digits; results are cached and only ever grow. `description`
-    is a JSON-serializable record of how the stream was built, so transform
-    graphs can be persisted and replayed.
+    is a JSON-serializable record of how the stream was built, which
+    `construct` writes as the `graph` of its manifest. Checks read the
+    bases from `seq` and the digits only through `prefix`.
     """
 
     def __init__(

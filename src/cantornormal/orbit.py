@@ -17,7 +17,6 @@ from numbers import Rational
 
 import numpy as np
 
-from .digitseq import DigitSequence
 from .errors import ArgumentError, excerpt
 from .kernels import orbit_numbers
 from .ladder import PartitionIndex
@@ -58,16 +57,15 @@ def truncation_depth(index: PartitionIndex, m: int) -> int:
     return math.isqrt(index.region_of(max(m, 1)))
 
 
-def orbit_truncated(seq: BasicSequence, E, m: int, *, depth: int | None = None) -> OrbitPoint:
+def orbit_truncated(E, m: int, *, depth: int | None = None) -> OrbitPoint:
     """Exact truncated orbit value at index m with its error bound."""
     if m < 0:
         raise ArgumentError(f"orbit index must be >= 0, got {m}")
+    seq = E.seq
     d = truncation_depth(PartitionIndex(seq), m) if depth is None else int(depth)
     if d < 1:
         raise ArgumentError(f"truncation depth must be >= 1, got {excerpt(d)}")
-    digits = E.prefix(m + d) if isinstance(E, DigitSequence) else np.asarray(E)
-    if len(digits) < m + d:
-        raise ArgumentError(f"need digits through position {m + d}, have {len(digits)}")
+    digits = E.prefix(m + d)
     num, den = 0, 1
     for i in range(1, d + 1):
         q = seq.base_at(m + i)
@@ -76,9 +74,7 @@ def orbit_truncated(seq: BasicSequence, E, m: int, *, depth: int | None = None) 
     return OrbitPoint(m, Fraction(num, den), Fraction(1, den))
 
 
-def orbit_values(
-    seq: BasicSequence, E, count: int, *, depth: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def orbit_values(E, count: int, *, depth: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Float orbit values and error bounds for indices 0..count-1 (bulk).
 
     Each value is the exact truncated value rounded to the nearest float,
@@ -98,6 +94,7 @@ def orbit_values(
         return np.empty(0), np.empty(0)
     if depth is not None and depth < 1:
         raise ArgumentError(f"truncation depth must be >= 1, got {excerpt(depth)}")
+    seq = E.seq
     pi = PartitionIndex(seq)
 
     def depth_at(m: int) -> int:
@@ -110,9 +107,7 @@ def orbit_values(
     ]
     # depths never decrease with m, so the last index reads furthest
     need = count - 1 + depth_at(count - 1)
-    digits = E.prefix(need) if isinstance(E, DigitSequence) else np.asarray(E, dtype=np.int64)
-    if digits.size < need:
-        raise ArgumentError(f"orbit evaluation needs {need} digits/bases")
+    digits = E.prefix(need)
     values = np.empty(count)
     eps = np.empty(count)
     acc = np.empty(min(_ORBIT_CHUNK, count), dtype=np.int64)  # run-route numerators
@@ -258,15 +253,13 @@ class DiscrepancyReport:
         }
 
 
-def orbit_discrepancy_report(
-    seq: BasicSequence, E, checkpoints, *, depth: int | None = None
-) -> DiscrepancyReport:
+def orbit_discrepancy_report(E, checkpoints, *, depth: int | None = None) -> DiscrepancyReport:
     """Star/extreme discrepancy of the truncated orbit sample (x_m) for
     m < N at each checkpoint N, plus the largest certified truncation error."""
     cps = sorted({int(n) for n in checkpoints})
     if not cps or cps[0] < 1:
         raise ArgumentError(f"checkpoints must be >= 1, got {excerpt(checkpoints)}")
-    values, eps = orbit_values(seq, E, max(cps), depth=depth)
+    values, eps = orbit_values(E, max(cps), depth=depth)
     rows = []
     for n in cps:
         if n < values.size:

@@ -248,20 +248,17 @@ class PeriodicSequence(BasicSequence):
 
 
 class TableSequence(BasicSequence):
-    """A finite table of bases plus an extension rule (repeat-last only)."""
+    """A finite table of bases whose last base repeats forever."""
 
-    def __init__(self, table, extend: str = "repeat-last"):
+    def __init__(self, table):
         table = _check_bases(table)
         if not table:
             raise ArgumentError("table sequence needs at least one base")
-        if extend != "repeat-last":
-            raise ArgumentError(f"unknown table extension rule {excerpt(extend)}")
         self.table = table
-        self.extend = extend
         self.head, self.cycle = table[:-1], table[-1:]
 
     def to_json(self) -> dict:
-        return {"kind": "table", "bases": self.table, "extend": self.extend}
+        return {"kind": "table", "bases": self.table, "extend": "repeat-last"}
 
 
 class PresetSequence(BasicSequence):
@@ -399,7 +396,11 @@ def sequence_from_json(obj: dict) -> BasicSequence:
         if kind == "periodic":
             return PeriodicSequence(obj["bases"])
         if kind == "table":
-            return TableSequence(obj["bases"], obj.get("extend", "repeat-last"))
+            seq = TableSequence(obj["bases"])
+            extend = obj.get("extend", "repeat-last")
+            if extend != "repeat-last":
+                raise ArgumentError(f"unknown table extension rule {excerpt(extend)}")
+            return seq
         if kind == "preset":
             if obj["name"] == "index-log":
                 return IndexLogSequence(obj.get("log_base", "e"))

@@ -14,7 +14,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .digitseq import DigitSequence
 from .errors import ArgumentError, excerpt
 from .kernels import match_mask
 from .ladder import PartitionIndex
@@ -28,15 +27,6 @@ def _as_block(block) -> tuple:
     if any(d < 0 for d in b):
         raise ArgumentError(f"block digits must be non-negative, got {excerpt(b)}")
     return b
-
-
-def _digit_buffer(E, upto: int) -> np.ndarray:
-    if isinstance(E, DigitSequence):
-        return E.prefix(upto)
-    arr = np.asarray(E, dtype=np.int64)
-    if arr.size < upto:
-        raise ArgumentError(f"need digits through position {upto}, have {arr.size}")
-    return arr
 
 
 def admissible(seq: BasicSequence, block, i: int) -> int:
@@ -181,7 +171,7 @@ def count_block(E, block, n: int) -> int:
     """Occurrences of `block` with start position <= n in the digit stream.
 
     An occurrence is counted at its start even if it extends past n, so the
-    buffer must reach position n + len(block) - 1.
+    stream must reach position n + len(block) - 1.
     """
     check_position(n)
     return count_block_checkpoints(E, block, [n])[0]
@@ -194,7 +184,7 @@ def count_block_checkpoints(E, block, checkpoints) -> list[int]:
     if any(n < 1 for n in cps):
         raise ArgumentError(f"checkpoints must be >= 1, got {excerpt(cps)}")
     top = max(cps)
-    digits = _digit_buffer(E, top + len(b) - 1)
+    digits = E.prefix(top + len(b) - 1)
     positions = np.flatnonzero(match_mask(digits, b, top)) + 1
     return [int(np.searchsorted(positions, n, side="right")) for n in cps]
 
@@ -215,17 +205,17 @@ def window_end_positions(index: PartitionIndex, n: int) -> np.ndarray:
     return ends
 
 
-def starred_variants(seq: BasicSequence, E, block, n: int) -> tuple[Fraction, int]:
+def starred_variants(E, block, n: int) -> tuple[Fraction, int]:
     """Expected and observed counts restricted to occurrences that fit
     entirely inside a single base window."""
     b = _as_block(block)
     check_position(n)
-    k = len(b)
+    k, seq = len(b), E.seq
     mask, prods = _window_masses(seq.bases(1, n + k - 1), b, n)
     ends = window_end_positions(PartitionIndex(seq), n)
     inside = np.arange(1, n + 1, dtype=np.int64) + (k - 1) <= ends
     q_star = _mass_sums(mask & inside, prods, [n])[0]
-    digits = _digit_buffer(E, n + k - 1)
+    digits = E.prefix(n + k - 1)
     n_star = int((match_mask(digits, b, n) & inside).sum())
     return q_star, n_star
 
@@ -298,10 +288,11 @@ def format_block(block) -> str:
 
 
 def parse_block(text: str) -> tuple:
-    """A block from comma- or dash-separated digits; a digit of 2**63 or
-    more is refused, since digit arrays are int64."""
+    """A block from comma- or dash-separated digits. An empty field, as in
+    `-1` or `0,,1`, is refused, and so is a digit of 2**63 or more, since
+    digit arrays are int64."""
     try:
-        block = tuple(int(d) for d in text.replace("-", ",").split(",") if d != "")
+        block = tuple(int(d) for d in text.replace("-", ",").split(","))
     except ValueError as exc:
         raise ArgumentError(f"bad block {excerpt(text)}") from exc
     if any(d >= 2**63 for d in block):
@@ -309,9 +300,7 @@ def parse_block(text: str) -> tuple:
     return block
 
 
-def normality_report(
-    seq: BasicSequence, E, blocks, checkpoints
-) -> ConvergenceReport:
+def normality_report(E, blocks, checkpoints) -> ConvergenceReport:
     """Observed/expected ratios per block and checkpoint, plus the matrix of
     observed-count ratios for same-length block pairs.
 
@@ -325,7 +314,7 @@ def normality_report(
         raise ArgumentError(f"checkpoints must be >= 1, got {excerpt(checkpoints)}")
     report = ConvergenceReport()
     observed: dict[tuple, list[int]] = {}
-    expected_counts = _expected_counter(seq, cps[-1] + max(map(len, blocks), default=1) - 1)
+    expected_counts = _expected_counter(E.seq, cps[-1] + max(map(len, blocks), default=1) - 1)
     for b in blocks:
         counts = count_block_checkpoints(E, b, cps)
         observed[b] = counts

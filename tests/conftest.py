@@ -1,7 +1,6 @@
-import numpy as np
 import pytest
 
-from cantornormal import ConstantSequence, PeriodicSequence, PresetSequence, generate_digits
+from cantornormal import ConstantSequence, PeriodicSequence, PresetSequence, constructed_digits
 from cantornormal.ladder import PartitionIndex
 
 
@@ -17,8 +16,11 @@ def c2_index(c2):
 
 @pytest.fixture(scope="session")
 def c2_digits_1m(c2):
-    """Digits 1..10**6 + 1 of the construction over constant:2."""
-    return generate_digits(c2, 10**6 + 1)
+    """The construction's stream over constant:2, with digits 1..10**6 + 1
+    already read."""
+    E = constructed_digits(c2)
+    E.prefix(10**6 + 1)
+    return E
 
 
 @pytest.fixture(scope="session")

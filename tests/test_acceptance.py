@@ -9,11 +9,9 @@ import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from cantornormal import (
     ConstantSequence,
-    PresetSequence,
     Schedule,
     build_orbit_sink,
     build_patched_uniform,
@@ -125,11 +123,11 @@ def test_criterion_03_cycling_completeness(c2, c2_index):
 DECADES = (3, 4, 5, 6)
 
 
-def _deviation_envelopes(digits, block):
+def _deviation_envelopes(E, block):
     """Counts of `block` at start positions <= n for n = 1..10**DECADES[-1],
     and the max of |count / (n / 2**k) - 1| over each decade [10**a, 10**(a+1)]."""
     top = 10 ** DECADES[-1]
-    counts = np.cumsum(match_mask(digits, block, top))
+    counts = np.cumsum(match_mask(E.prefix(top + len(block) - 1), block, top))
     n = np.arange(1, top + 1)
     dev = np.abs(counts * 2.0 ** len(block) / n - 1)
     return counts, [float(dev[10**a - 1 : 10 ** (a + 1)].max()) for a in DECADES[:-1]]
@@ -167,11 +165,11 @@ def test_criterion_04_block_count_trend(c2, c2_digits_1m):
 def test_criterion_05_orbit_distribution(c2, c2_index):
     E = constructed_digits(c2)
     # certified deep evaluation (error <= 2**-24 per point)
-    report = orbit_discrepancy_report(c2, E, [10**3, 10**4, 10**5], depth=24)
+    report = orbit_discrepancy_report(E, [10**3, 10**4, 10**5], depth=24)
     stars = [r.d_star for r in report.rows]
     eps_ok = all(r.max_eps <= 2**-24 for r in report.rows)
     # soundness of the default square-root truncation depth and its bound
-    values, eps = orbit_values(c2, E, 4000)
+    values, eps = orbit_values(E, 4000)
     for m in range(0, 4000, 211):
         eps_ok &= eps[m] <= 2.0 ** -truncation_depth(c2_index, m)
     ok = stars[0] > stars[1] > stars[2] and stars[2] <= 0.05 and eps_ok
@@ -238,7 +236,7 @@ def test_criterion_08_orbit_sink(log_preset):
     y = build_orbit_sink(log_preset)
     values = []
     for n in (10**3, 10**4, 10**5):
-        pt = orbit_truncated(log_preset, y, n, depth=12)
+        pt = orbit_truncated(y, n, depth=12)
         assert pt.eps <= Fraction(1, 2**24)
         values.append(float(pt.value))
     ok = values[0] > values[1] > values[2] and values[2] <= 0.25

@@ -281,6 +281,8 @@ BAD_SEQ_JSON = ['{"kind":"constant"}', '{"kind":"preset"}', '{"kind":"pointwise"
                 '{"kind":"constant","b":"x"}', '{"kind":"periodic","bases":5}',
                 '{"kind":"constant","b":2.5}', '{"kind":"periodic","bases":[3,2.5]}',
                 '{"kind":"preset","name":"index-log","log_base":[10]}']
+# an empty digit field is a bad block, not a separator to skip
+BAD_BLOCKS = ["-1", "1-", "0,,1"]
 
 
 @pytest.mark.parametrize(
@@ -295,9 +297,10 @@ BAD_SEQ_JSON = ['{"kind":"constant"}', '{"kind":"preset"}', '{"kind":"pointwise"
      "int64-periodic-diagnose", "int64-table-diagnose", "int64-constant-stats",
      "int64-constant-discrepancy", "past-int64-count", "past-int64-construct-count",
      "past-int64-exact", "past-int64-checkpoint", "past-int64-periodic-checkpoint",
-     "past-int64-diagnose-checkpoint", "past-int64-depth"]
+     "past-int64-diagnose-checkpoint", "past-int64-depth", "diagnose-empty-block-field"]
     + [f"digit-json {text}" for text in BAD_DIGIT_JSON_FILES]
-    + [f"json-seq {text}" for text in BAD_SEQ_JSON],
+    + [f"json-seq {text}" for text in BAD_SEQ_JSON]
+    + [f"empty-block-field {text}" for text in BAD_BLOCKS],
 )
 def test_bad_input_exits_2(capsys, tmp_path, case):
     kind, _, text = case.partition(" ")
@@ -386,6 +389,10 @@ def test_bad_input_exits_2(capsys, tmp_path, case):
                                            "--checkpoints", f"10,{past}"),
         "past-int64-depth": ("discrepancy", "--seq", "constant:2", "--depth",
                              f"fixed:{2**63 - 1}", "--checkpoints", "10"),
+        "empty-block-field": ("stats", "--seq", "constant:2", "--blocks", text,
+                              "--checkpoints", "10"),
+        "diagnose-empty-block-field": ("diagnose", "--seq", "constant:2", "--block", "-1",
+                                       "--checkpoints", "10,100"),
     }[kind]
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
@@ -393,6 +400,16 @@ def test_bad_input_exits_2(capsys, tmp_path, case):
     assert len(err) < 1024
     if kind == "huge-int-digit-file":
         assert "bad JSON" in err  # the parse error, not a missing key
+
+
+def test_block_digits_separate_by_comma_or_dash(capsys):
+    outs = []
+    for text in ("0-1", "0,1"):
+        code, out, _ = run_cli(capsys, "stats", "--seq", "constant:2", "--blocks", text,
+                               "--checkpoints", "10")
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1] and outs[0].splitlines()[1].startswith("0-1,10,")
 
 
 def test_scan_bound_exit_code(capsys, monkeypatch):

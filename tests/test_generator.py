@@ -1,7 +1,5 @@
 import itertools
-import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 

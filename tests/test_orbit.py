@@ -142,15 +142,15 @@ def test_sample_domain_validated():
 
 def test_orbit_point_examples(c2, c2_index):
     E = constructed_digits(c2)
-    p0 = orbit_truncated(c2, E, 0, depth=1)
+    p0 = orbit_truncated(E, 0, depth=1)
     assert (p0.value, p0.eps) == (Fraction(0), Fraction(1, 2))
     ones = finite_digits(c2, [1] * 8)
-    p3 = orbit_truncated(c2, ones, 3, depth=2)
+    p3 = orbit_truncated(ones, 3, depth=2)
     assert (p3.value, p3.eps) == (Fraction(3, 4), Fraction(1, 4))
     # default depth at 200: window length 3, depth 1
     assert c2_index.region_of(200) == 3
     assert truncation_depth(c2_index, 200) == 1
-    p200 = orbit_truncated(c2, E, 200)
+    p200 = orbit_truncated(E, 200)
     assert p200.value == Fraction(int(E.digit(201)), 2)
     assert p200.eps == Fraction(1, 2)
 
@@ -159,7 +159,7 @@ def test_orbit_eps_bound(c2, c2_index):
     E = constructed_digits(c2)
     for m in (0, 5, 30, 200, 700, 5000):
         d = truncation_depth(c2_index, m)
-        pt = orbit_truncated(c2, E, m)
+        pt = orbit_truncated(E, m)
         assert pt.eps <= Fraction(1, 2**d)
 
 
@@ -167,16 +167,16 @@ def test_truncation_soundness(c2):
     E = constructed_digits(c2)
     rng = np.random.default_rng(9)
     for m in rng.integers(0, 5000, size=40):
-        shallow = orbit_truncated(c2, E, int(m))
-        deep = orbit_truncated(c2, E, int(m), depth=24)
+        shallow = orbit_truncated(E, int(m))
+        deep = orbit_truncated(E, int(m), depth=24)
         assert abs(shallow.value - deep.value) <= shallow.eps
 
 
 def test_orbit_values_bulk_matches_single(c2):
     E = constructed_digits(c2)
-    values, eps = orbit_values(c2, E, 400)
+    values, eps = orbit_values(E, 400)
     for m in range(0, 400, 17):
-        pt = orbit_truncated(c2, E, m)
+        pt = orbit_truncated(E, m)
         assert values[m] == pytest.approx(float(pt.value), abs=1e-15)
         assert eps[m] == pytest.approx(float(pt.eps), abs=1e-15)
 
@@ -211,14 +211,14 @@ def test_mod1_matches_orbit_exact(p23):
 
 def test_discrepancy_report_all_zero_digits(c2):
     zeros = finite_digits(c2, [0] * 130)
-    report = orbit_discrepancy_report(c2, zeros, [100], depth=3)
+    report = orbit_discrepancy_report(zeros, [100], depth=3)
     assert report.rows[0].d_star >= 1 - 1 / 100
     assert report.rows[0].d_extreme >= 1 - 1 / 100
 
 
 def test_discrepancy_report_decreasing_for_construction(c2):
     E = constructed_digits(c2)
-    report = orbit_discrepancy_report(c2, E, [10**3, 10**4], depth=20)
+    report = orbit_discrepancy_report(E, [10**3, 10**4], depth=20)
     d = [r.d_star for r in report.rows]
     assert d[1] < d[0]
     assert all(r.max_eps <= 2**-20 for r in report.rows)
@@ -226,7 +226,7 @@ def test_discrepancy_report_decreasing_for_construction(c2):
 
 def test_discrepancy_report_orbit_sink_stays_biased(log_preset):
     y = build_orbit_sink(log_preset)
-    report = orbit_discrepancy_report(log_preset, y, [10**4], depth=6)
+    report = orbit_discrepancy_report(y, [10**4], depth=6)
     # orbit values crowd near 0, so the discrepancy stays large
     assert report.rows[0].d_star > 0.5
 
@@ -280,11 +280,10 @@ def test_blocked_discrepancy_tail_equals_one_full_length_pass(xs, chunk):
     want = _discrepancies_unblocked(xs)
     with mock.patch.object(orbit, "_ORBIT_CHUNK", chunk):
         got = star_discrepancy(np.asarray(xs)), extreme_discrepancy(np.asarray(xs))
-        report = orbit_discrepancy_report(ConstantSequence(2), constructed_digits(
-            ConstantSequence(2)), [len(xs), 1], depth=8)
+        report = orbit_discrepancy_report(constructed_digits(ConstantSequence(2)),
+                                          [len(xs), 1], depth=8)
     assert got == want  # bit for bit
-    values, _ = orbit_values(ConstantSequence(2), constructed_digits(ConstantSequence(2)),
-                             len(xs), depth=8)
+    values, _ = orbit_values(constructed_digits(ConstantSequence(2)), len(xs), depth=8)
     assert [(r.d_star, r.d_extreme) for r in report.rows] == [
         _discrepancies_unblocked(values[:n]) for n in sorted({1, len(xs)})]
 
@@ -293,15 +292,15 @@ def test_report_rows_equal_two_sort_formulas(c2, log_preset):
     E = constructed_digits(c2)
     zeros = finite_digits(c2, [0] * 200)
     cases = [
-        (c2, E, 24),
-        (c2, E, 3),  # 8 distinct values: many ties
-        (c2, zeros, 2),  # every sample exactly 0.0
-        (log_preset, constructed_digits(log_preset), None),
+        (E, 24),
+        (E, 3),  # 8 distinct values: many ties
+        (zeros, 2),  # every sample exactly 0.0
+        (constructed_digits(log_preset), None),
     ]
-    for seq, stream, depth in cases:
+    for stream, depth in cases:
         cps = [1, 2, 17, 100, 150] if stream is zeros else [1, 2, 17, 1000, 4096, 5000]
-        report = orbit_discrepancy_report(seq, stream, cps + [1], depth=depth)
-        values, _ = orbit_values(seq, stream, max(cps), depth=depth)
+        report = orbit_discrepancy_report(stream, cps + [1], depth=depth)
+        values, _ = orbit_values(stream, max(cps), depth=depth)
         assert [row.n for row in report.rows] == sorted(set(cps))
         for row in report.rows:
             assert row.d_star == _star_reference(values[: row.n])
@@ -340,20 +339,17 @@ def _block_test_sequence(kind, rng, top):
     st.integers(min_value=1, max_value=300),
     st.integers(min_value=1, max_value=1000),
     st.one_of(st.none(), st.integers(min_value=1, max_value=12)),
-    st.booleans(),
     st.integers(min_value=0, max_value=2**16),
 )
-def test_orbit_values_blocks_match_one_unblocked_call(
-    kind, top, chunk, count, depth, as_stream, seed
-):
+def test_orbit_values_blocks_match_one_unblocked_call(kind, top, chunk, count, depth, seed):
     rng = np.random.default_rng(seed)
     seq = _block_test_sequence(kind, rng, top)
     size = count + 12  # at least the deepest read of any case
     digits = rng.integers(0, seq.bases(1, size))
-    E = finite_digits(seq, digits) if as_stream else digits
+    E = finite_digits(seq, digits)
     want = _orbit_values_unblocked(seq, digits, count, depth)
     with mock.patch.object(orbit, "_ORBIT_CHUNK", chunk):
-        got = orbit_values(seq, E, count, depth=depth)
+        got = orbit_values(E, count, depth=depth)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
@@ -370,7 +366,7 @@ def test_orbit_values_guards_hold_in_every_block(chunk, count, depth):
         last_lo = (count - 1) // chunk * chunk
         wide = TableSequence([2] * (last_lo + 10) + [2**60])
         with pytest.raises(ArgumentError, match="int64 denominators"):
-            orbit_values(wide, np.zeros(count + 11, dtype=np.int64), count, depth=11)
+            orbit_values(finite_digits(wide, [0] * (count + 11)), count, depth=11)
         with pytest.raises(ArgumentError, match="int64 denominators"):
             _orbit_values_unblocked(wide, np.zeros(count + 11, dtype=np.int64), count, 11)
 
@@ -378,11 +374,9 @@ def test_orbit_values_guards_hold_in_every_block(chunk, count, depth):
         seq = PeriodicSequence([2, 3])
         last = truncation_depth(PartitionIndex(seq), count - 1) if depth is None else depth
         need = count - 1 + last
-        orbit_values(seq, finite_digits(seq, [0] * need), count, depth=depth)
+        orbit_values(finite_digits(seq, [0] * need), count, depth=depth)
         with pytest.raises(InsufficientDigitsError):
-            orbit_values(seq, finite_digits(seq, [0] * (need - 1)), count, depth=depth)
-        with pytest.raises(ArgumentError, match=f"needs {need} digits"):
-            orbit_values(seq, np.zeros(need - 1, dtype=np.int64), count, depth=depth)
+            orbit_values(finite_digits(seq, [0] * (need - 1)), count, depth=depth)
 
 
 def _no_kernel():
@@ -395,12 +389,12 @@ def test_deep_orbit_values_stay_below_one(c2, depth):
     # to 1.0 past 53 bits; it is rounded down to the float below 1 instead
     ones = finite_digits(c2, [1] * 200)
     with _no_kernel():  # 2**depth <= 2**61: the run route
-        values, eps = orbit_values(c2, ones, 100, depth=depth)
+        values, eps = orbit_values(ones, 100, depth=depth)
     assert (values == np.nextafter(1.0, 0.0)).all()
-    exact = orbit_truncated(c2, ones, 99, depth=depth).value
+    exact = orbit_truncated(ones, 99, depth=depth).value
     assert abs(Fraction(float(values[99])) - exact) <= Fraction(1, 2**53)
     assert (eps == 2.0**-depth).all()
-    report = orbit_discrepancy_report(c2, ones, [1, 100], depth=depth)
+    report = orbit_discrepancy_report(ones, [1, 100], depth=depth)
     assert [r.d_star for r in report.rows] == [1.0 - 2**-53] * 2
 
 
@@ -432,10 +426,9 @@ def _run_landmarks(seq, depth):
 @given(
     st.sampled_from(_RUN_SEQUENCES),
     st.one_of(st.none(), st.integers(min_value=1, max_value=16)),
-    st.booleans(),
     st.data(),
 )
-def test_orbit_run_route_matches_kernel_oracle(seq, depth, as_stream, data):
+def test_orbit_run_route_matches_kernel_oracle(seq, depth, data):
     kinds = _run_landmarks(seq, depth)
     mark = data.draw(st.sampled_from(data.draw(st.sampled_from(kinds)))) if kinds else \
         data.draw(st.integers(1, 2000))
@@ -450,10 +443,10 @@ def test_orbit_run_route_matches_kernel_oracle(seq, depth, as_stream, data):
     last = truncation_depth(PartitionIndex(seq), count - 1) if depth is None else depth
     rng = np.random.default_rng(count * 1000 + chunk)
     digits = rng.integers(0, seq.bases(1, count - 1 + last))
-    E = finite_digits(seq, digits) if as_stream else digits
+    E = finite_digits(seq, digits)
     want = _orbit_values_unblocked(seq, digits, count, depth)
     with mock.patch.object(orbit, "_ORBIT_CHUNK", chunk):
-        got = orbit_values(seq, E, count, depth=depth)
+        got = orbit_values(E, count, depth=depth)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
@@ -464,7 +457,7 @@ def test_orbit_run_route_skips_the_kernel():
         E = constructed_digits(seq)
         want = _orbit_values_unblocked(seq, E.prefix(count + 24), count, depth)
         with _no_kernel():
-            got = orbit_values(seq, E, count, depth=depth)
+            got = orbit_values(E, count, depth=depth)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
@@ -478,7 +471,7 @@ def test_orbit_block_is_cut_at_a_depth_step(seq, count, step):
     E = constructed_digits(seq)
     want = _orbit_values_unblocked(seq, E.prefix(count + 2), count, None)
     with mock.patch.object(orbit, "orbit_numbers", wraps=orbit_numbers) as kernel:
-        got = orbit_values(seq, E, count, depth=None)
+        got = orbit_values(E, count, depth=None)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
     if seq.nondecreasing:  # one base on each side of the step: two run-route blocks
         assert kernel.call_count == 0
@@ -495,7 +488,7 @@ def test_orbit_block_across_a_base_step_takes_the_kernel(seq, count, depth):
     E = constructed_digits(seq)
     want = _orbit_values_unblocked(seq, E.prefix(count + 3), count, depth)
     with mock.patch.object(orbit, "orbit_numbers", wraps=orbit_numbers) as kernel:
-        got = orbit_values(seq, E, count, depth=depth)
+        got = orbit_values(E, count, depth=depth)
     assert kernel.call_count == 1
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
@@ -509,14 +502,15 @@ def test_orbit_block_across_a_base_step_takes_the_kernel(seq, count, depth):
 def test_orbit_run_route_int64_edges_match_kernel(seq, ok, wide):
     count = 300
     ones = np.ones(count + wide, dtype=np.int64)
+    E = finite_digits(seq, ones)
     want = _orbit_values_unblocked(seq, ones, count, ok)
     with _no_kernel() if seq.nondecreasing else contextlib.nullcontext():
-        got = orbit_values(seq, ones, count, depth=ok)
+        got = orbit_values(E, count, depth=ok)
     assert np.array_equal(got[0], np.minimum(want[0], _BELOW_ONE))
     assert np.array_equal(got[1], want[1])
     message = "truncation depth too large for int64 denominators"
     with pytest.raises(ArgumentError, match=message):
-        orbit_values(seq, ones, count, depth=wide)
+        orbit_values(E, count, depth=wide)
     with pytest.raises(ArgumentError, match=message):
         _orbit_values_unblocked(seq, ones, count, wide)
 

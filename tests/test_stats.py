@@ -93,7 +93,7 @@ def test_admissible_blocks_and_checkpoint_sums(kind, pattern, k, checkpoints):
     # block lengths and a never-admissible block, against per-checkpoint sums
     cps = checkpoints + [1, checkpoints[0]]
     mixed = admissible_blocks(seq, 1, n) + blocks + [(5,)]
-    report = normality_report(seq, constructed_digits(seq), mixed, cps)
+    report = normality_report(constructed_digits(seq), mixed, cps)
     ns = sorted(set(cps))
     assert [(r.block, r.n) for r in report.rows] == [(b, m) for b in mixed for m in ns]
     for r in report.rows:
@@ -103,16 +103,16 @@ def test_admissible_blocks_and_checkpoint_sums(kind, pattern, k, checkpoints):
 
 
 def test_count_block_examples(c2):
-    digits = [0, 1, 0, 1, 0, 1]
+    digits = finite_digits(c2, [0, 1, 0, 1, 0, 1])
     assert count_block(digits, [0, 1], 4) == 2
-    assert count_block([0, 1, 0, 1], [1, 1], 3) == 0
+    assert count_block(finite_digits(c2, [0, 1, 0, 1]), [1, 1], 3) == 0
     with pytest.raises(ArgumentError):
         count_block(digits, [], 3)
 
 
-def test_count_block_needs_lookahead():
+def test_count_block_needs_lookahead(c2):
     with pytest.raises(ArgumentError):
-        count_block([0, 1, 0], [0, 1], 3)  # position 4 missing
+        count_block(finite_digits(c2, [0, 1, 0]), [0, 1], 3)  # position 4 missing
 
 
 def test_count_block_checkpoints_matches_brute(c2):
@@ -120,7 +120,7 @@ def test_count_block_checkpoints_matches_brute(c2):
     digits = rng.integers(0, 2, size=500)
     cps = [10, 99, 400]
     for block in ([0], [1, 0], [0, 0, 1]):
-        got = count_block_checkpoints(digits, block, cps)
+        got = count_block_checkpoints(finite_digits(c2, digits), block, cps)
         assert got == [brute_count(digits, block, n) for n in cps]
 
 
@@ -131,7 +131,8 @@ def test_count_increment_is_zero_or_one(digits, block):
     top = len(digits) - len(block)
     if top < 2:
         return
-    counts = [count_block(digits, block, n) for n in range(1, top + 1)]
+    E = finite_digits(ConstantSequence(2), digits)
+    counts = [count_block(E, block, n) for n in range(1, top + 1)]
     assert all(b - a in (0, 1) for a, b in zip(counts, counts[1:]))
 
 
@@ -161,9 +162,9 @@ def test_window_end_positions_match_regions(c2, p23, log_preset):
 
 def test_starred_examples(c2):
     E = constructed_digits(c2)
-    assert starred_variants(c2, E, [0], 24) == (Fraction(12), 12)
-    assert starred_variants(c2, E, [0, 1], 24) == (Fraction(0), 0)
-    q_star, n_star = starred_variants(c2, E, [0, 1], 124)
+    assert starred_variants(E, [0], 24) == (Fraction(12), 12)
+    assert starred_variants(E, [0, 1], 24) == (Fraction(0), 0)
+    q_star, n_star = starred_variants(E, [0, 1], 124)
     assert q_star == Fraction(25, 2)
     # brute scan over the 50 length-2 windows
     digits = E.prefix(125)
@@ -180,7 +181,7 @@ def test_starred_bounds(c2, c2_index):
     for block in ([0], [0, 1], [1, 1, 0]):
         k = len(block)
         for n in (24, 124, 622, 3122):
-            q_star, n_star = starred_variants(c2, E, block, n)
+            q_star, n_star = starred_variants(E, block, n)
             q_full = expected_count(c2, block, n)
             n_full = count_block(E, block, n)
             assert q_star <= q_full
@@ -194,20 +195,20 @@ def test_starred_bounds(c2, c2_index):
 
 def test_normality_report_exact_at_24(c2):
     E = constructed_digits(c2)
-    report = normality_report(c2, E, [[0], [1]], [24])
+    report = normality_report(E, [[0], [1]], [24])
     ratios = {tuple(r.block): r.ratio for r in report.rows}
     assert ratios == {(0,): 1.0, (1,): 1.0}
     assert report.pair_rows[0].value == 1.0
 
 
-def test_normality_report_near_one_at_1e5(c2, c2_digits_1m):
-    report = normality_report(c2, c2_digits_1m, [[0]], [10**5])
+def test_normality_report_near_one_at_1e5(c2_digits_1m):
+    report = normality_report(c2_digits_1m, [[0]], [10**5])
     assert 0.98 <= report.rows[0].ratio <= 1.02
 
 
 def test_normality_report_absent_block(c2):
     zeros = finite_digits(c2, [0] * 101)
-    report = normality_report(c2, zeros, [[1]], [100])
+    report = normality_report(zeros, [[1]], [100])
     assert report.rows[0].observed == 0
     assert report.rows[0].ratio == 0.0
 
@@ -215,7 +216,7 @@ def test_normality_report_absent_block(c2):
 def test_normality_report_undefined_ratio(p23):
     # a block admissible only at even positions has zero expected count at n=1
     E = finite_digits(p23, [0, 2, 0, 2, 0])
-    report = normality_report(p23, E, [[2]], [1, 4])
+    report = normality_report(E, [[2]], [1, 4])
     assert report.rows[0].ratio is None
     assert report.rows[1].ratio is not None
 
