@@ -29,7 +29,7 @@ from .orbit import orbit_discrepancy_report
 from .sequences import BasicSequence, parse_sequence_spec, read_text
 from .stats import (
     admissible_blocks,
-    format_block,
+    check_pair_count,
     growth_diagnostic,
     normality_report,
     parse_block,
@@ -266,33 +266,32 @@ def _cmd_construct(args) -> None:
     _emit(args, _format_digit_output(args, seq, digits), params)
 
 
+def _write_report(args, report, params: dict) -> None:
+    """Write a report as its JSON object or as its CSV rows, per --format."""
+    if args.format == "json":
+        body = json.dumps(report.to_json(), sort_keys=True) + "\n"
+    else:
+        body = _csv(report.csv_rows())
+    _emit(args, [body.encode()], params)
+
+
 def _cmd_stats(args) -> None:
     seq = parse_sequence_spec(args.seq)
     E = _resolve_source(args, seq)
     cps = _parse_checkpoints(args.checkpoints)
     blocks = _parse_blocks(args.blocks, seq, max(cps))
-    report = normality_report(E, blocks, cps)
     if args.format == "json":
-        body = json.dumps(report.to_json(), sort_keys=True) + "\n"
-    else:
-        rows = [["block", "n", "observed", "expected_num", "expected_den", "ratio"]]
-        rows += [r.as_csv() for r in report.rows]
-        body = _csv(rows)
-    _emit(args, [body.encode()], {"blocks": args.blocks, "checkpoints": cps})
+        check_pair_count(blocks, cps)
+    _write_report(args, normality_report(E, blocks, cps),
+                  {"blocks": args.blocks, "checkpoints": cps})
 
 
 def _cmd_discrepancy(args) -> None:
     seq = parse_sequence_spec(args.seq)
     E = _resolve_source(args, seq)
     cps = _parse_checkpoints(args.checkpoints)
-    report = orbit_discrepancy_report(E, cps, depth=_parse_depth(args.depth))
-    if args.format == "json":
-        body = json.dumps(report.to_json(), sort_keys=True) + "\n"
-    else:
-        rows = [["n", "d_star", "d_extreme", "max_eps"]]
-        rows += [r.as_csv() for r in report.rows]
-        body = _csv(rows)
-    _emit(args, [body.encode()], {"checkpoints": cps, "depth": args.depth})
+    _write_report(args, orbit_discrepancy_report(E, cps, depth=_parse_depth(args.depth)),
+                  {"checkpoints": cps, "depth": args.depth})
 
 
 def _cmd_value(args) -> None:
@@ -316,30 +315,8 @@ def _cmd_diagnose(args) -> None:
     cps = _parse_checkpoints(args.checkpoints)
     if len({n for n in cps if n > 1}) < 2:
         raise ArgumentError("a growth trend needs at least two checkpoints above 1")
-    block = parse_block(args.block)
-    diag = growth_diagnostic(seq, block, cps)
-    if args.format == "json":
-        body = json.dumps(
-            {
-                "block": list(diag.block),
-                "rows": [
-                    {"n": r.n, "value": r.value, "nondecreasing": r.nondecreasing_so_far}
-                    for r in diag.rows
-                ],
-                "increasing_trend": diag.increasing,
-                "label": diag.label,
-            },
-            sort_keys=True,
-        ) + "\n"
-    else:
-        rows = [["block", "n", "value", "nondecreasing_so_far"]]
-        rows += [
-            [format_block(diag.block), r.n, repr(r.value), r.nondecreasing_so_far]
-            for r in diag.rows
-        ]
-        rows.append(["trend", "", "increasing" if diag.increasing else "flat", diag.label])
-        body = _csv(rows)
-    _emit(args, [body.encode()], {"block": args.block, "checkpoints": cps})
+    _write_report(args, growth_diagnostic(seq, parse_block(args.block), cps),
+                  {"block": args.block, "checkpoints": cps})
 
 
 # ---------------------------------------------------------------------------

@@ -88,5 +88,4 @@ def finite_digits(seq: BasicSequence, digits) -> DigitSequence:
             )
         return arr
 
-    return DigitSequence(seq, source, {"op": "literal", "seq": seq.to_json(),
-                                       "digits": [int(d) for d in arr]})
+    return DigitSequence(seq, source, {"op": "literal", "seq": seq.to_json(), "count": arr.size})

@@ -9,24 +9,12 @@ splits evenly into length-r windows.
 from __future__ import annotations
 
 import math
-import os
 from bisect import bisect_left
 
 from .errors import ArgumentError, ScanBoundError
 from .sequences import BasicSequence, check_position
 
 DEFAULT_SCAN_BOUND = 10**9
-SCAN_BOUND_ENV = "CANTORNORMAL_SCAN_BOUND"
-
-
-def _scan_bound_default() -> int:
-    raw = os.environ.get(SCAN_BOUND_ENV)
-    if raw:
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ArgumentError(f"{SCAN_BOUND_ENV} must be an integer, got {raw!r}") from exc
-    return DEFAULT_SCAN_BOUND
 
 
 class PartitionIndex:
@@ -34,7 +22,6 @@ class PartitionIndex:
 
     def __init__(self, seq: BasicSequence):
         self.seq = seq
-        self.scan_bound = _scan_bound_default()
         self._n = [None]  # 1-based: self._n[r] = ladder_index
         self._N = [None, 0]  # self._N[1] = 0
 
@@ -52,9 +39,9 @@ class PartitionIndex:
         # max does, so the scan jumps from threshold to threshold.
         n = self._n[r - 1] if r >= 2 else 1
         while True:
-            if n > self.scan_bound:
+            if n > DEFAULT_SCAN_BOUND:
                 raise ScanBoundError(
-                    f"ladder index for r={r} not found below scan bound {self.scan_bound}"
+                    f"ladder index for r={r} not found below scan bound {DEFAULT_SCAN_BOUND}"
                 )
             q = self.seq.running_max(n)
             threshold = (q * q + 1) ** r

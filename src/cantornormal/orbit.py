@@ -243,6 +243,9 @@ class DiscrepancyReport:
     depth: str
     rows: list[DiscrepancyRow]
 
+    def csv_rows(self) -> list[list]:
+        return [["n", "d_star", "d_extreme", "max_eps"]] + [r.as_csv() for r in self.rows]
+
     def to_json(self) -> dict:
         return {
             "depth": self.depth,

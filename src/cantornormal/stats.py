@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -240,22 +241,21 @@ class BlockCountRow:
 
 
 @dataclass
-class RatioRow:
-    block_a: tuple
-    block_b: tuple
-    n: int
-    value: float | None
-
-
-@dataclass
 class ConvergenceReport:
-    """Observed/expected block counts plus equal-length count ratios."""
+    """Observed/expected block counts, one row per block and checkpoint in
+    block order. The JSON form adds each block's expected counts and the
+    observed-count ratios of every pair of equal-length blocks."""
 
+    checkpoints: list[int]
     rows: list[BlockCountRow] = field(default_factory=list)
-    pair_rows: list[RatioRow] = field(default_factory=list)
-    expected_growth: dict = field(default_factory=dict)
+
+    def csv_rows(self) -> list[list]:
+        header = ["block", "n", "observed", "expected_num", "expected_den", "ratio"]
+        return [header] + [r.as_csv() for r in self.rows]
 
     def to_json(self) -> dict:
+        m = len(self.checkpoints)
+        by_block = [self.rows[i : i + m] for i in range(0, len(self.rows), m)]
         return {
             "rows": [
                 {
@@ -269,18 +269,35 @@ class ConvergenceReport:
             ],
             "pairs": [
                 {
-                    "block_a": list(p.block_a),
-                    "block_b": list(p.block_b),
-                    "n": p.n,
-                    "ratio": p.value,
+                    "block_a": list(ra.block),
+                    "block_b": list(rb.block),
+                    "n": ra.n,
+                    "ratio": None if rb.observed == 0 else ra.observed / rb.observed,
                 }
-                for p in self.pair_rows
+                for i, a in enumerate(by_block)
+                for b in by_block[i + 1 :]
+                if len(a[0].block) == len(b[0].block)
+                for ra, rb in zip(a, b)
             ],
             "expected_growth": {
-                format_block(b): [f"{v.numerator}/{v.denominator}" for v in vals]
-                for b, vals in self.expected_growth.items()
+                format_block(g[0].block): [f"{r.expected.numerator}/{r.expected.denominator}"
+                                           for r in g]
+                for g in by_block
             },
         }
+
+
+_MAX_JSON_PAIRS = 10**6
+
+
+def check_pair_count(blocks, checkpoints) -> None:
+    """Refuse blocks and checkpoints whose JSON report would hold more than
+    _MAX_JSON_PAIRS pair rows: one per equal-length block pair and checkpoint."""
+    per_length = Counter(len(b) for b in blocks)
+    pairs = sum(m * (m - 1) // 2 for m in per_length.values())
+    total = pairs * len(set(checkpoints))
+    if total > _MAX_JSON_PAIRS:
+        raise ArgumentError(f"{total} block-pair rows in a JSON report; out of desk range")
 
 
 def format_block(block) -> str:
@@ -301,36 +318,21 @@ def parse_block(text: str) -> tuple:
 
 
 def normality_report(E, blocks, checkpoints) -> ConvergenceReport:
-    """Observed/expected ratios per block and checkpoint, plus the matrix of
-    observed-count ratios for same-length block pairs.
+    """Observed/expected counts per block and checkpoint.
 
-    A zero expected count yields a None ratio rather than an error. Each
-    block also gets its expected-count values recorded so readers can judge
-    whether the count is still growing at the final checkpoint.
+    A zero expected count yields a None ratio rather than an error.
     """
     blocks = [_as_block(b) for b in blocks]
     cps = sorted({int(n) for n in checkpoints})
     if not cps or cps[0] < 1:
         raise ArgumentError(f"checkpoints must be >= 1, got {excerpt(checkpoints)}")
-    report = ConvergenceReport()
-    observed: dict[tuple, list[int]] = {}
+    report = ConvergenceReport(cps)
     expected_counts = _expected_counter(E.seq, cps[-1] + max(map(len, blocks), default=1) - 1)
     for b in blocks:
         counts = count_block_checkpoints(E, b, cps)
-        observed[b] = counts
-        expected = expected_counts(b, cps)
-        report.expected_growth[b] = expected
-        for n, obs, exp in zip(cps, counts, expected):
+        for n, obs, exp in zip(cps, counts, expected_counts(b, cps)):
             ratio = None if exp == 0 else obs / float(exp)
             report.rows.append(BlockCountRow(b, n, obs, exp, ratio))
-    for i, a in enumerate(blocks):
-        for b in blocks[i + 1 :]:
-            if len(a) != len(b):
-                continue
-            for ci, n in enumerate(cps):
-                den = observed[b][ci]
-                value = None if den == 0 else observed[a][ci] / den
-                report.pair_rows.append(RatioRow(a, b, n, value))
     return report
 
 
@@ -358,6 +360,24 @@ class GrowthDiagnostic:
         """Strictly increasing over at least two rows."""
         values = [r.value for r in self.rows]
         return len(values) >= 2 and all(b > a for a, b in zip(values, values[1:]))
+
+    def csv_rows(self) -> list[list]:
+        rows = [["block", "n", "value", "nondecreasing_so_far"]]
+        rows += [[format_block(self.block), r.n, repr(r.value), r.nondecreasing_so_far]
+                 for r in self.rows]
+        rows.append(["trend", "", "increasing" if self.increasing else "flat", self.label])
+        return rows
+
+    def to_json(self) -> dict:
+        return {
+            "block": list(self.block),
+            "rows": [
+                {"n": r.n, "value": r.value, "nondecreasing": r.nondecreasing_so_far}
+                for r in self.rows
+            ],
+            "increasing_trend": self.increasing,
+            "label": self.label,
+        }
 
 
 def growth_diagnostic(seq: BasicSequence, block, checkpoints) -> GrowthDiagnostic:

@@ -101,7 +101,6 @@ class UDSource:
         if kind not in self.KINDS:
             raise ArgumentError(f"unknown uniform driver {kind!r}; expected {self.KINDS}")
         self.kind = kind
-        self._farey: list[Fraction] = [Fraction(0)]
         self._farey_arrays = (np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64))
 
     def value(self, n: int) -> Fraction:
@@ -110,14 +109,8 @@ class UDSource:
             bits = n.bit_length()
             rev = int(bin(n)[2:][::-1], 2)
             return Fraction(rev, 1 << bits)
-        while len(self._farey) < n:
-            # the tail entry (d-1)/d is always reduced, so its denominator
-            # tracks the last fully emitted batch
-            d = self._farey[-1].denominator + 1
-            self._farey.extend(
-                Fraction(a, d) for a in range(1, d) if math.gcd(a, d) == 1
-            )
-        return self._farey[n - 1]
+        num, den = self._farey_terms(n)
+        return Fraction(int(num[n - 1]), int(den[n - 1]))
 
     def leads(self, n: np.ndarray, q: np.ndarray) -> np.ndarray:
         """floor(value(n) * q) for arrays of positions and bases, in int64."""

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -15,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from cantornormal import (ConstantSequence, PeriodicSequence, constructed_digits, digit_at,
                           parse_sequence_spec, prefix_value)
-from cantornormal import cli
+from cantornormal import cli, ladder
 from cantornormal.cli import _csv, _int_rows, main
 
 
@@ -169,6 +170,48 @@ def test_head_cycle_output_digests(capsys, seq, command):
     assert hashlib.sha256(out.encode()).hexdigest() == HEAD_CYCLE_SHA256[seq, command]
 
 
+REPORT_JSON_COMMANDS = {
+    # a duplicate block, lengths 1 and 2, a block never observed and a pair
+    # whose second block is never observed; unsorted and repeated checkpoints
+    "stats": ("stats", "--seq", "periodic:2,3,5", "--blocks", "0;1;0;1,0;5;0,0;1;2,4;4,2",
+              "--checkpoints", "1000,100,100,7"),
+    "stats-no-blocks": ("stats", "--seq", "constant:2", "--blocks", "", "--checkpoints", "10"),
+    "discrepancy": ("discrepancy", "--seq", "periodic:2,3,5", "--checkpoints", "100,1000,10000"),
+    "diagnose": ("diagnose", "--seq", "periodic:2,3,5", "--block", "1,0",
+                 "--checkpoints", "10,100,1000,10000"),
+}
+# SHA-256 of each report's JSON stdout: the bytes are part of the behaviour
+# contract, whichever code forms them
+REPORT_JSON_SHA256 = {
+    "stats": "1bab087aa01ca0225e9b63a3067364ec32fc8b912b72b78415a6608ef46580f0",
+    "stats-no-blocks": "ec8f9701102b472a28d2756a644ca53e7a61748650076d52fb9e138ecdb4079c",
+    "discrepancy": "008ef13358a6f252d9734fc20d80882e1878bcb6e5ab06a53e2cc79e21fbe3e8",
+    "diagnose": "6f7c6a4295afd1afb7cc9b89dc3a2ea4060838d66cef0a856b43660a7d055604",
+}
+
+
+@pytest.mark.parametrize("command", sorted(REPORT_JSON_SHA256))
+def test_report_json_digests(capsys, command):
+    code, out, err = run_cli(capsys, *REPORT_JSON_COMMANDS[command], "--format", "json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == REPORT_JSON_SHA256[command]
+
+
+def test_stats_csv_forms_no_block_pairs(capsys):
+    # 1000 blocks at two checkpoints: 2000 CSV rows, and 999000 pair ratios
+    # that only the JSON form holds
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "stats", "--seq", "constant:10", "--blocks", "all:3",
+                                 "--checkpoints", "1000,10000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 2001
+    assert peak < 20 * 2**20
+
+
 @pytest.mark.parametrize("inner", ["periodic", "table"])
 def test_log2_of_head_cycle_digits(capsys, inner):
     spec = ('json:{"kind":"pointwise","op":"log-of","log_base":"2",'
@@ -289,7 +332,7 @@ BAD_BLOCKS = ["-1", "1-", "0,,1"]
     "case",
     ["bad-json-seq", "bad-json-seq-file", "huge-int-json-seq", "huge-int-digit-file",
      "non-integer-digit",
-     "digit-file-is-dir", "all-blocks-too-long", "all-blocks-too-many",
+     "digit-file-is-dir", "all-blocks-too-long", "all-blocks-too-many", "json-pair-rows",
      "negative-oracle-check", "seq-file-is-dir", "seq-file-not-utf8",
      "diagnose-one-checkpoint", "diagnose-one-checkpoint-above-1",
      "huge-constant", "huge-periodic", "huge-checkpoints", "huge-depth", "long-count",
@@ -340,6 +383,9 @@ def test_bad_input_exits_2(capsys, tmp_path, case):
         # 10**6 candidates below the per-offset base limits
         "all-blocks-too-many": ("stats", "--seq", "constant:10", "--blocks", "all:6",
                                 "--checkpoints", "100"),
+        # 10**4 blocks: the JSON form would hold about 5*10**7 pair rows
+        "json-pair-rows": ("stats", "--seq", "constant:10", "--blocks", "all:4",
+                           "--checkpoints", "1000", "--format", "json"),
         # a negative step would make the checked range empty
         "negative-oracle-check": ("digits", "--seq", "constant:2", "--count", "5",
                                   "--oracle-check", "-1"),
@@ -413,7 +459,7 @@ def test_block_digits_separate_by_comma_or_dash(capsys):
 
 
 def test_scan_bound_exit_code(capsys, monkeypatch):
-    monkeypatch.setenv("CANTORNORMAL_SCAN_BOUND", "30")
+    monkeypatch.setattr(ladder, "DEFAULT_SCAN_BOUND", 30)
     code, _, err = run_cli(capsys, "digits", "--seq", "constant:2", "--count", "30")
     assert code == 3
     assert "error[scan-bound]" in err

@@ -10,6 +10,7 @@ from cantornormal import (
     TableSequence,
     block_from_index,
 )
+from cantornormal import ladder
 from cantornormal.ladder import PartitionIndex
 
 
@@ -92,7 +93,7 @@ def test_boundary_divisibility(c2_index, iterated_log):
 
 
 def test_scan_bound_error(monkeypatch):
-    monkeypatch.setenv("CANTORNORMAL_SCAN_BOUND", "10")
+    monkeypatch.setattr(ladder, "DEFAULT_SCAN_BOUND", 10)
     pi = PartitionIndex(ConstantSequence(2))
     assert pi.ladder_index(1) == 5
     with pytest.raises(ScanBoundError):

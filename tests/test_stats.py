@@ -23,7 +23,7 @@ from cantornormal import (
     starred_variants,
 )
 from cantornormal.ladder import PartitionIndex
-from cantornormal.stats import window_end_positions
+from cantornormal.stats import format_block, window_end_positions
 
 
 def brute_expected(seq, block, n):
@@ -98,8 +98,10 @@ def test_admissible_blocks_and_checkpoint_sums(kind, pattern, k, checkpoints):
     assert [(r.block, r.n) for r in report.rows] == [(b, m) for b in mixed for m in ns]
     for r in report.rows:
         assert r.expected == brute_expected(seq, r.block, r.n)
+    growth = report.to_json()["expected_growth"]
     for b in mixed:
-        assert report.expected_growth[b] == [brute_expected(seq, b, m) for m in ns]
+        expect = [brute_expected(seq, b, m) for m in ns]
+        assert [Fraction(v) for v in growth[format_block(b)]] == expect
 
 
 def test_count_block_examples(c2):
@@ -108,6 +110,12 @@ def test_count_block_examples(c2):
     assert count_block(finite_digits(c2, [0, 1, 0, 1]), [1, 1], 3) == 0
     with pytest.raises(ArgumentError):
         count_block(digits, [], 3)
+
+
+def test_finite_digits_description_counts_the_digits(c2):
+    # the description records how many digits there are, not a copy of them
+    E = finite_digits(c2, [0, 1, 0, 1])
+    assert E.description == {"op": "literal", "seq": c2.to_json(), "count": 4}
 
 
 def test_count_block_needs_lookahead(c2):
@@ -198,7 +206,7 @@ def test_normality_report_exact_at_24(c2):
     report = normality_report(E, [[0], [1]], [24])
     ratios = {tuple(r.block): r.ratio for r in report.rows}
     assert ratios == {(0,): 1.0, (1,): 1.0}
-    assert report.pair_rows[0].value == 1.0
+    assert report.to_json()["pairs"] == [{"block_a": [0], "block_b": [1], "n": 24, "ratio": 1.0}]
 
 
 def test_normality_report_near_one_at_1e5(c2_digits_1m):
