@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Subcommands: digits, construct, stats, discrepancy, value, diagnose.
-Exit codes: 0 success, 2 argument errors, 3 scan-bound/refinement errors.
+Exit codes: 0 success, 2 argument errors, 3 scan-bound/refinement errors
+and allocations that fail.
 Every run can persist a manifest (--manifest) recording the subcommand,
 inputs, tool version and a digest of the emitted bytes; re-running with
 the same inputs reproduces the bytes and therefore the digest.
@@ -396,6 +397,9 @@ def main(argv=None) -> int:
         return 2
     except CantorSeriesError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"error[memory]: out of memory: {excerpt(str(exc))}", file=sys.stderr)
         return 3
     return 0
 

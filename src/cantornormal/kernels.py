@@ -8,8 +8,9 @@ position in Python.
 
 On nondecreasing sequences the callers skip two of them wherever the bases
 are constant: ``generator.run_region_digits`` decodes regions from the base
-runs, and ``orbit.orbit_values``, whose blocks each have one depth,
-evaluates each block of one base with a scalar Horner pass.
+runs, and the orbit block walker (``orbit._orbit_blocks``, which serves
+``orbit_values`` and the discrepancy report), whose blocks each have one
+depth, evaluates each block of one base with a scalar Horner pass.
 ``region_digits`` and ``orbit_numbers`` then serve the remaining blocks and
 every other sequence kind, and stay the tests' oracle for the run routes.
 

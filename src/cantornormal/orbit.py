@@ -11,7 +11,7 @@ along the whole orbit; a fixed deeper depth can be requested instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from numbers import Rational
 
@@ -22,23 +22,11 @@ from .kernels import orbit_numbers
 from .ladder import PartitionIndex
 from .sequences import BasicSequence
 
-# orbit indices per block of orbit_values and of the discrepancy tail: keeps
+# orbit indices per orbit block and per block of the discrepancy tail: keeps
 # the per-step temporaries at a few MB however many points are asked for
 _ORBIT_CHUNK = 1 << 16
 # the float below 1: a value num/den < 1 past 53 bits of den can round up to 1.0
 _BELOW_ONE = np.nextafter(1.0, 0.0)
-
-__all__ = [
-    "OrbitPoint",
-    "truncation_depth",
-    "orbit_truncated",
-    "orbit_values",
-    "orbit_exact_finite",
-    "star_discrepancy",
-    "extreme_discrepancy",
-    "orbit_discrepancy_report",
-    "DiscrepancyReport",
-]
 
 
 @dataclass(frozen=True)
@@ -79,19 +67,33 @@ def orbit_values(E, count: int, *, depth: int | None = None) -> tuple[np.ndarray
 
     Each value is the exact truncated value rounded to the nearest float,
     and rounded down where that would give 1.0, so it lies in [0, 1); it
-    carries up to 2**-53 of float rounding on top of its `eps`.
-
-    The indices go in blocks of _ORBIT_CHUNK, also cut at each index where
-    the default depth steps up, so every block has one depth d. On a
-    nondecreasing sequence a block whose points read one base c throughout,
-    with c**d <= 2**61, takes the run route: one scalar Horner pass over digit
-    slices in a reused int64 buffer, over the constant denominator c**d.
-    Every other block goes to `kernels.orbit_numbers`, whose span check alone
-    refuses denominators past int64; both routes give the same bits."""
+    carries up to 2**-53 of float rounding on top of its `eps`. The values
+    are formed block by block, as `_orbit_blocks` describes."""
     if count < 0:
         raise ArgumentError(f"orbit count must be >= 0, got {count}")
     if count == 0:
         return np.empty(0), np.empty(0)
+    values, eps = np.empty(count), np.empty(count)
+    for lo, hi, num, den in _orbit_blocks(E, count, depth):
+        np.divide(num, den, out=values[lo:hi])
+        np.minimum(values[lo:hi], _BELOW_ONE, out=values[lo:hi])
+        np.divide(1.0, den, out=eps[lo:hi])
+    return values, eps
+
+
+def _orbit_blocks(E, count: int, depth: int | None, cuts=()):
+    """Yield (lo, hi, num, den) for each block of orbit indices lo..hi-1,
+    with the exact truncated values num/den of its points.
+
+    The indices go in blocks of _ORBIT_CHUNK, also cut at each index where
+    the default depth steps up and at each of `cuts`, so every block has one
+    depth d. On a nondecreasing sequence a block whose points read one base c
+    throughout, with c**d <= 2**61, takes the run route: one scalar Horner
+    pass over digit slices in a reused int64 buffer (so `num` is valid only
+    until the next block), over the constant denominator den = float(c**d).
+    Every other block goes to `kernels.orbit_numbers`, whose span check alone
+    refuses denominators past int64, and den is its int64 array; both routes
+    give the same bits."""
     if depth is not None and depth < 1:
         raise ArgumentError(f"truncation depth must be >= 1, got {excerpt(depth)}")
     seq = E.seq
@@ -101,17 +103,13 @@ def orbit_values(E, count: int, *, depth: int | None = None) -> tuple[np.ndarray
         return truncation_depth(pi, m) if depth is None else int(depth)
 
     # the default depth can only step up just past a region boundary
-    steps = [] if depth is not None else [
-        b + 1 for b in pi.boundaries_through(count)
-        if b + 1 < count and depth_at(b + 1) > depth_at(b)
-    ]
+    steps = [] if depth is not None else [b + 1 for b in pi.boundaries_through(count)
+                                          if b + 1 < count and depth_at(b + 1) > depth_at(b)]
     # depths never decrease with m, so the last index reads furthest
-    need = count - 1 + depth_at(count - 1)
-    digits = E.prefix(need)
-    values = np.empty(count)
-    eps = np.empty(count)
+    digits = E.prefix(count - 1 + depth_at(count - 1))
     acc = np.empty(min(_ORBIT_CHUNK, count), dtype=np.int64)  # run-route numerators
-    starts = sorted(set(range(0, count, _ORBIT_CHUNK)).union(steps))
+    starts = sorted(set(range(0, count, _ORBIT_CHUNK)).union(
+        steps, (m for m in cuts if 0 < m < count)))
     for lo, hi in zip(starts, starts[1:] + [count]):
         d = depth_at(lo)
         top = hi - 1 + d
@@ -124,10 +122,7 @@ def orbit_values(E, count: int, *, depth: int | None = None) -> tuple[np.ndarray
                 num += digits[lo + i : hi + i]
         else:
             num, den = orbit_numbers(digits[lo:top], seq.bases(lo + 1, top), d)
-        np.divide(num, den, out=values[lo:hi])
-        np.minimum(values[lo:hi], _BELOW_ONE, out=values[lo:hi])
-        np.divide(1.0, den, out=eps[lo:hi])
-    return values, eps
+        yield lo, hi, num, den
 
 
 def _run_base(seq: BasicSequence, first: int, last: int, d: int) -> int | None:
@@ -190,6 +185,11 @@ def _sorted_discrepancies(xs: np.ndarray) -> tuple[float, float]:
         diffs /= n
         diffs -= xs[lo:hi]
         low, high = min(low, diffs.min()), max(high, diffs.max())
+    return _from_extremes(n, low, high)
+
+
+def _from_extremes(n: int, low, high) -> tuple[float, float]:
+    """Star and extreme discrepancy from the smallest and largest d_i."""
     return float(max(high, 1.0 / n - low)), float(1.0 / n + high - low)
 
 
@@ -247,28 +247,62 @@ class DiscrepancyReport:
         return [["n", "d_star", "d_extreme", "max_eps"]] + [r.as_csv() for r in self.rows]
 
     def to_json(self) -> dict:
-        return {
-            "depth": self.depth,
-            "rows": [
-                {"n": r.n, "d_star": r.d_star, "d_extreme": r.d_extreme, "max_eps": r.max_eps}
-                for r in self.rows
-            ],
-        }
+        return {"depth": self.depth, "rows": [asdict(r) for r in self.rows]}
 
 
 def orbit_discrepancy_report(E, checkpoints, *, depth: int | None = None) -> DiscrepancyReport:
     """Star/extreme discrepancy of the truncated orbit sample (x_m) for
-    m < N at each checkpoint N, plus the largest certified truncation error."""
+    m < N at each checkpoint N, plus the largest certified truncation error.
+
+    No sample array is held: each orbit block, cut at the checkpoints too,
+    is reduced to its sorted values with their counts, which merge at each
+    checkpoint into the running groups of equal values. For fixed x,
+    fl(fl(i/N) - x) is nondecreasing in i, so a group at sorted indices a..b
+    has its largest d_i at b and its smallest at a: the very floats that
+    `_sorted_discrepancies` takes its max and min over."""
     cps = sorted({int(n) for n in checkpoints})
     if not cps or cps[0] < 1:
         raise ArgumentError(f"checkpoints must be >= 1, got {excerpt(checkpoints)}")
-    values, eps = orbit_values(E, max(cps), depth=depth)
-    rows = []
-    for n in cps:
-        if n < values.size:
-            xs = np.sort(values[:n])
-        else:  # the last checkpoint is the last use of values: sort it in place
-            values.sort()
-            xs = values
-        rows.append(DiscrepancyRow(n, *_sorted_discrepancies(xs), float(eps[:n].max())))
+    xs, ks = np.empty(0), np.empty(0, dtype=np.int64)
+    pending, max_eps, rows = [], 0.0, []
+    for _, hi, num, den in _orbit_blocks(E, cps[-1], depth, cps):
+        pending.append(_block_groups(num, den))
+        max_eps = max(max_eps, float(1.0 / np.min(den)))
+        if hi == cps[len(rows)]:
+            xs, ks = _merge_groups(xs, ks, pending)
+            last = np.cumsum(ks)
+            high, low = (last / hi - xs).max(), ((last - ks + 1) / hi - xs).min()
+            rows.append(DiscrepancyRow(hi, *_from_extremes(hi, low, high), max_eps))
     return DiscrepancyReport("default" if depth is None else f"fixed:{depth}", rows)
+
+
+def _block_groups(num: np.ndarray, den) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted float values of one block, num/den clamped below 1 as in
+    `orbit_values`, with their counts. A run-route block (scalar den) counts
+    its numerators: by bins when den <= 2**20, else by `np.unique`. Numerators
+    past 2**53 can round to one float; the checkpoint merge groups those."""
+    if np.ndim(den):  # a kernel block
+        return np.unique(np.minimum(num / den, _BELOW_ONE), return_counts=True)
+    if den <= 1 << 20:
+        counts = np.bincount(num)
+        nums = np.flatnonzero(counts)
+        counts = counts[nums]
+    else:
+        nums, counts = np.unique(num, return_counts=True)
+    return np.minimum(nums / den, _BELOW_ONE), counts
+
+
+def _merge_groups(xs, ks, pending: list) -> tuple[np.ndarray, np.ndarray]:
+    """Merge the pending blocks' (values, counts) into the running sorted groups
+    of equal values; each step lets go of what it replaces, `pending` too."""
+    xs = np.concatenate([xs] + [p[0] for p in pending])
+    ks = np.concatenate([ks] + [p[1] for p in pending])
+    pending.clear()
+    order = np.argsort(xs)  # equal values merge whatever their order
+    xs = xs[order]
+    ks = ks[order]
+    del order
+    first = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))
+    if first.size == xs.size:  # no ties
+        return xs, ks
+    return xs[first], np.add.reduceat(ks, first)

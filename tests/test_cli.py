@@ -465,6 +465,32 @@ def test_scan_bound_exit_code(capsys, monkeypatch):
     assert "error[scan-bound]" in err
 
 
+# 2**40 passes the int64 size check, but its 8 TiB arrays do not fit in a 4 GB
+# address space
+@pytest.mark.parametrize("argv", [
+    ("digits", "--seq", "constant:2", "--count", str(2**40)),
+    ("stats", "--seq", "constant:2", "--blocks", "0", "--checkpoints", str(2**40)),
+    ("discrepancy", "--seq", "constant:2", "--depth", "fixed:8", "--checkpoints", str(2**40)),
+    ("value", "--seq", "constant:2", "--target", "xq", "--exact", str(2**40)),
+])
+def test_failed_allocation_exits_3(argv):
+    resource = pytest.importorskip("resource")
+    limit = 4 * 10**9
+
+    def cap_address_space():  # in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "cantornormal.cli", *argv],
+                          capture_output=True, env=env, timeout=120,
+                          preexec_fn=cap_address_space)
+    err = proc.stderr.decode()
+    assert proc.returncode == 3, err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error[memory]: "), err
+    assert len(err) < 1024
+
+
 def test_manifest_determinism(capsys, tmp_path):
     m1, m2 = tmp_path / "a.json", tmp_path / "b.json"
     args = ("stats", "--seq", "periodic:2,3", "--blocks", "all:1",

@@ -1,6 +1,7 @@
 import contextlib
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -25,6 +26,7 @@ from cantornormal import (
     orbit_exact_finite,
     orbit_truncated,
     orbit_values,
+    parse_sequence_spec,
     star_discrepancy,
     truncation_depth,
 )
@@ -305,6 +307,61 @@ def test_report_rows_equal_two_sort_formulas(c2, log_preset):
         for row in report.rows:
             assert row.d_star == _star_reference(values[: row.n])
             assert row.d_extreme == _extreme_reference(values[: row.n])
+
+
+# a deep fixed depth at which every denominator still fits int64
+_COUNTED_SEQUENCES = {"constant:2": 60, "constant:3": 38, "periodic:2,3": 47,
+                      "periodic:3,2": 47}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(sorted(_COUNTED_SEQUENCES)),
+    st.data(),
+    st.integers(min_value=1, max_value=300),
+    st.integers(min_value=1, max_value=800),
+    # the share of random digits; the rest are the largest digit, whose
+    # deep values round to 1.0 and are clamped just below it
+    st.sampled_from([0.0, 0.05, 1.0]),
+    st.integers(min_value=0, max_value=2**16),
+)
+def test_counted_report_equals_the_sorted_sample(spec, data, chunk, count, share, seed):
+    seq = parse_sequence_spec(spec)
+    deepest = _COUNTED_SEQUENCES[spec]
+    depth = data.draw(st.one_of(st.none(), st.integers(1, deepest),
+                                st.integers(deepest - 8, deepest)))  # past 53 bits
+    # checkpoints on and off block edges, with 1, count and duplicates
+    cps = data.draw(st.lists(st.one_of(
+        st.integers(1, count), st.integers(1, max(1, count // chunk)).map(lambda k: k * chunk),
+        st.just(1)), max_size=5)) + [count]
+    cps += data.draw(st.lists(st.sampled_from(cps), max_size=2))
+    count = max(cps)
+    rng = np.random.default_rng(seed)
+    bases = seq.bases(1, count + 60)
+    digits = np.where(rng.random(bases.size) < share, rng.integers(0, bases), bases - 1)
+    E = finite_digits(seq, digits)
+    with mock.patch.object(orbit, "_ORBIT_CHUNK", chunk):
+        report = orbit_discrepancy_report(E, cps, depth=depth)
+    values, eps = orbit_values(E, count, depth=depth)
+    assert [(r.n, r.d_star, r.d_extreme, r.max_eps) for r in report.rows] == [
+        (n, *orbit._sorted_discrepancies(np.sort(values[:n])), float(eps[:n].max()))
+        for n in sorted(set(cps))]  # bit for bit
+
+
+@pytest.mark.parametrize("seq, depth", [(PresetSequence("iterated-log"), None),
+                                        (ConstantSequence(2), 24)])
+def test_counted_report_memory_does_not_grow_with_the_sample(seq, depth):
+    count = 2 * 10**6
+    E = constructed_digits(seq)
+    E.prefix(count + 24)  # the digits are the input, not the report's memory
+    tracemalloc.start()
+    try:
+        orbit_discrepancy_report(E, [1000, count], depth=depth)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a length-N float array alone takes 16 MB
+    assert peak < 8 * 2**20
 
 
 def _orbit_values_unblocked(seq, digits, count, depth):
