@@ -19,11 +19,9 @@ from .generator import OccurrenceCounters, digit_at, digit_stream, generate_digi
 from .ladder import PartitionIndex, block_from_index
 from .orbit import (
     DiscrepancyReport,
-    OrbitPoint,
     orbit_discrepancy_report,
     extreme_discrepancy,
     orbit_exact_finite,
-    orbit_truncated,
     orbit_values,
     star_discrepancy,
     truncation_depth,

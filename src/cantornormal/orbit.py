@@ -10,6 +10,7 @@ along the whole orbit; a fixed deeper depth can be requested instead.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -29,37 +30,11 @@ _ORBIT_CHUNK = 1 << 16
 _BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
-@dataclass(frozen=True)
-class OrbitPoint:
-    """A truncated orbit value with its certified truncation error."""
-
-    index: int
-    value: Fraction
-    eps: Fraction
-
-
 def truncation_depth(index: PartitionIndex, m: int) -> int:
     """Default depth floor(sqrt(r(m))); index 0 borrows the depth at 1."""
     if m < 0:
         raise ArgumentError(f"orbit index must be >= 0, got {m}")
     return math.isqrt(index.region_of(max(m, 1)))
-
-
-def orbit_truncated(E, m: int, *, depth: int | None = None) -> OrbitPoint:
-    """Exact truncated orbit value at index m with its error bound."""
-    if m < 0:
-        raise ArgumentError(f"orbit index must be >= 0, got {m}")
-    seq = E.seq
-    d = truncation_depth(PartitionIndex(seq), m) if depth is None else int(depth)
-    if d < 1:
-        raise ArgumentError(f"truncation depth must be >= 1, got {excerpt(d)}")
-    digits = E.prefix(m + d)
-    num, den = 0, 1
-    for i in range(1, d + 1):
-        q = seq.base_at(m + i)
-        num = num * q + int(digits[m + i - 1])
-        den *= q
-    return OrbitPoint(m, Fraction(num, den), Fraction(1, den))
 
 
 def orbit_values(E, count: int, *, depth: int | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -86,8 +61,11 @@ def _orbit_blocks(E, count: int, depth: int | None, cuts=()):
     with the exact truncated values num/den of its points.
 
     The indices go in blocks of _ORBIT_CHUNK, also cut at each index where
-    the default depth steps up and at each of `cuts`, so every block has one
-    depth d. On a nondecreasing sequence a block whose points read one base c
+    the default depth steps up and at each of the ascending `cuts`, so every
+    block has one depth d. Each block reads the digits at positions
+    lo + 1..hi - 1 + d through `E.window`, carrying the d - 1 it shares with
+    the next block, so every position is read once and no array grows with
+    count. On a nondecreasing sequence a block whose points read one base c
     throughout, with c**d <= 2**61, takes the run route: one scalar Horner
     pass over digit slices in a reused int64 buffer (so `num` is valid only
     until the next block), over the constant denominator den = float(c**d).
@@ -102,27 +80,41 @@ def _orbit_blocks(E, count: int, depth: int | None, cuts=()):
     def depth_at(m: int) -> int:
         return truncation_depth(pi, m) if depth is None else int(depth)
 
+    # depths never decrease with m, so the last index reads furthest; a read
+    # that cannot be served is refused before any block is read
+    last = count - 1 + depth_at(count - 1)
+    E.window(last, last)
     # the default depth can only step up just past a region boundary
     steps = [] if depth is not None else [b + 1 for b in pi.boundaries_through(count)
                                           if b + 1 < count and depth_at(b + 1) > depth_at(b)]
-    # depths never decrease with m, so the last index reads furthest
-    digits = E.prefix(count - 1 + depth_at(count - 1))
     acc = np.empty(min(_ORBIT_CHUNK, count), dtype=np.int64)  # run-route numerators
-    starts = sorted(set(range(0, count, _ORBIT_CHUNK)).union(
-        steps, (m for m in cuts if 0 < m < count)))
-    for lo, hi in zip(starts, starts[1:] + [count]):
+    # buf[:read - start] holds the digits at positions start + 1..read
+    buf, start, read, lo = np.empty(0, dtype=np.int64), 0, 0, 0
+    for hi in heapq.merge(range(_ORBIT_CHUNK, count, _ORBIT_CHUNK), steps,
+                          (m for m in cuts if 0 < m < count), [count]):
+        if hi == lo:
+            continue
         d = depth_at(lo)
         top = hi - 1 + d
+        # positions lo + 1..top: the previous block's lo + 1..read, then fresh ones
+        keep = buf[lo - start : read - start]
+        if buf.size < top - lo:
+            buf = np.concatenate((keep, np.empty(top - read, dtype=np.int64)))
+        else:
+            buf[: keep.size] = keep
+        E.window(read, top, buf[read - lo : top - lo])
+        digits, start, read = buf[: top - lo], lo, top
         c = _run_base(seq, lo + 1, top, d)
         if c is not None:
             num, den = acc[: hi - lo], float(c**d)
-            num[:] = digits[lo:hi]
+            num[:] = digits[: hi - lo]
             for i in range(1, d):
                 num *= c
-                num += digits[lo + i : hi + i]
+                num += digits[i : hi - lo + i]
         else:
-            num, den = orbit_numbers(digits[lo:top], seq.bases(lo + 1, top), d)
+            num, den = orbit_numbers(digits, seq.bases(lo + 1, top), d)
         yield lo, hi, num, den
+        lo = hi
 
 
 def _run_base(seq: BasicSequence, first: int, last: int, d: int) -> int | None:

@@ -66,8 +66,12 @@ def clip_digits(x: DigitSequence, target: BasicSequence) -> DigitSequence:
     def source(n: int) -> np.ndarray:
         return np.minimum(x.prefix(n), target.bases(1, n) - 1)
 
+    def window(lo: int, hi: int, out: np.ndarray) -> None:
+        np.minimum(x.window(lo, hi, out), target.bases(lo + 1, hi) - 1, out=out)
+
     return DigitSequence(
-        target, source, {"op": "clip", "seq": target.to_json(), "of": x.description}
+        target, source, {"op": "clip", "seq": target.to_json(), "of": x.description},
+        window=window,
     )
 
 
@@ -348,32 +352,37 @@ class Schedule:
         return d
 
     def prefix(self, count: int) -> np.ndarray:
-        """Digits 1..count, equal to digit(n) for each n, built in array
-        chunks of _PREFIX_CHUNK positions."""
-        if count < 1:
-            return np.empty(0, dtype=np.int64)
+        """Digits 1..count, equal to digit(n) for each n."""
+        out = np.empty(max(count, 0), dtype=np.int64)
+        self.window(0, count, out)
+        return out
+
+    def window(self, first: int, last: int, out: np.ndarray) -> None:
+        """Write digits first + 1..last, equal to digit(n) for each n, into
+        `out`, in array chunks of _PREFIX_CHUNK positions."""
+        if last <= first:
+            return
         levels = [0]
         try:
-            while levels[-1] <= count:
+            while levels[-1] <= last:
                 levels.append(self.level(len(levels)))
         except CantorSeriesError:
             # digit(n) needs level j only from position L(j - 1) on, so it
             # has emitted, and reported the clamps of, every position before
-            self.prefix(levels[-1] - 1)
+            self.window(first, levels[-1] - 1, out)
             raise
-        # the last level only has to lie past count; it may not fit an int64
+        # the last level only has to lie past last; it may not fit an int64
         # (level 2 is 2**256 - 4 on preset:iterated-log)
-        levels[-1] = count + 1
+        levels[-1] = last + 1
         starts = np.array(levels, dtype=np.int64)
         floors = np.array([0] + [ceil_log(i, self.log_base) for i in range(1, len(levels))],
                           dtype=np.int64)
         # segment i covers positions L(i) .. L(i) + i - 1 and reads donor digits 1..i
-        need = max([min(i, count - levels[i] + 1) for i in range(1, len(levels) - 1)],
+        need = max([min(i, last - levels[i] + 1) for i in range(1, len(levels) - 1)],
                    default=0)
         donor = self.donor_digits.prefix(need)
-        out = np.empty(count, dtype=np.int64)
-        for lo in range(1, count + 1, _PREFIX_CHUNK):
-            hi = min(lo + _PREFIX_CHUNK - 1, count)
+        for lo in range(first + 1, last + 1, _PREFIX_CHUNK):
+            hi = min(lo + _PREFIX_CHUNK - 1, last)
             n = np.arange(lo, hi + 1, dtype=np.int64)
             q = self.target.bases(lo, hi)
             seg = np.searchsorted(starts, n, side="right") - 1
@@ -383,8 +392,7 @@ class Schedule:
             d[in_donor] = donor[offset[in_donor]]
             for i in np.flatnonzero(d > q - 1).tolist():
                 self.clamps.add(f"position {lo + i}")
-            out[lo - 1 : hi] = np.minimum(d, q - 1)
-        return out
+            out[lo - 1 - first : hi - first] = np.minimum(d, q - 1)
 
 
 def build_patched_uniform(
@@ -407,6 +415,7 @@ def build_patched_uniform(
             "ud": sched.ud.to_json(),
             "log_base": log_base,
         },
+        window=sched.window,
     )
     ds.schedule = sched
     return ds

@@ -23,7 +23,6 @@ from cantornormal import (
     expected_count,
     extreme_discrepancy,
     generate_digits,
-    orbit_truncated,
     orbit_values,
     prefix_value,
     clip_digits,
@@ -36,6 +35,7 @@ from cantornormal.kernels import match_mask
 from cantornormal.ladder import PartitionIndex
 from cantornormal.sequences import parse_sequence_spec
 
+from orbit_oracles import orbit_truncated
 from schedule_oracles import count_threshold_predicate, log_mass_predicate, segment_positions
 
 

@@ -466,11 +466,12 @@ def test_scan_bound_exit_code(capsys, monkeypatch):
 
 
 # 2**40 passes the int64 size check, but its 8 TiB arrays do not fit in a 4 GB
-# address space
+# address space; discrepancy reads its digits a block at a time, so a depth
+# of 2**40 makes its first block's read that large
 @pytest.mark.parametrize("argv", [
     ("digits", "--seq", "constant:2", "--count", str(2**40)),
     ("stats", "--seq", "constant:2", "--blocks", "0", "--checkpoints", str(2**40)),
-    ("discrepancy", "--seq", "constant:2", "--depth", "fixed:8", "--checkpoints", str(2**40)),
+    ("discrepancy", "--seq", "constant:2", "--depth", f"fixed:{2**40}", "--checkpoints", "10"),
     ("value", "--seq", "constant:2", "--target", "xq", "--exact", str(2**40)),
 ])
 def test_failed_allocation_exits_3(argv):

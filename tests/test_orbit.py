@@ -1,6 +1,7 @@
 import contextlib
 import itertools
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -24,7 +25,6 @@ from cantornormal import (
     extreme_discrepancy,
     finite_digits,
     orbit_exact_finite,
-    orbit_truncated,
     orbit_values,
     parse_sequence_spec,
     star_discrepancy,
@@ -33,6 +33,8 @@ from cantornormal import (
 from cantornormal import orbit
 from cantornormal.kernels import orbit_numbers
 from cantornormal.ladder import PartitionIndex
+
+from orbit_oracles import orbit_truncated
 
 
 def brute_star(values):
@@ -362,6 +364,29 @@ def test_counted_report_memory_does_not_grow_with_the_sample(seq, depth):
         tracemalloc.stop()
     # a length-N float array alone takes 16 MB
     assert peak < 8 * 2**20
+
+
+def test_report_reads_digits_a_block_at_a_time():
+    count = 2 * 10**6
+    E = constructed_digits(PresetSequence("iterated-log"))  # no digit read yet
+    tracemalloc.start()
+    try:
+        orbit_discrepancy_report(E, [1000, count])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the int64 prefix alone takes 16 MB
+    assert peak < 4 * 2**20
+
+
+def test_report_refuses_a_short_stream_before_reading_a_block(p23):
+    count, depth = 5000, 3
+    E = finite_digits(p23, [0] * (count + depth - 2))  # one digit short
+    with pytest.raises(InsufficientDigitsError) as want:
+        E.prefix(count - 1 + depth)
+    with mock.patch.object(orbit, "_block_groups", side_effect=AssertionError("a block")):
+        with pytest.raises(InsufficientDigitsError, match=re.escape(str(want.value))):
+            orbit_discrepancy_report(E, [10, count], depth=depth)
 
 
 def _orbit_values_unblocked(seq, digits, count, depth):

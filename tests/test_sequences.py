@@ -283,12 +283,14 @@ def test_run_region_digits_equal_the_region_kernel(seq, data):
     r = data.draw(st.integers(1, 6))
     lo = data.draw(st.one_of(_near_run_start(seq), st.integers(0, 10**6),
                              st.integers(0, 2**62)))
-    # the count may cut a run and the last window
+    # the digits may start inside a window, and the count may cut a run and
+    # the last window
+    skip = data.draw(st.integers(0, 6 * r))
     take = data.draw(st.integers(1, 500))
-    want, want_distinct = region_digits(seq.bases(lo + 1, lo + -(-take // r) * r), r)
+    want, want_distinct = region_digits(seq.bases(lo + 1, lo + -(-(skip + take) // r) * r), r)
     got = np.empty(take, dtype=np.int64)
-    assert run_region_digits(seq, lo, r, got) == want_distinct
-    assert got.tolist() == want[:take].tolist()
+    assert run_region_digits(seq, lo, r, got, skip) == want_distinct
+    assert got.tolist() == want[skip:skip + take].tolist()
 
 
 @settings(max_examples=40, deadline=None)
