@@ -15,13 +15,12 @@ from .errors import (
     RefinementError,
     ScanBoundError,
 )
-from .generator import OccurrenceCounters, digit_at, digit_stream, generate_digits
+from .generator import digit_at, digit_stream, generate_digits
 from .ladder import PartitionIndex, block_from_index
 from .orbit import (
     DiscrepancyReport,
     orbit_discrepancy_report,
     extreme_discrepancy,
-    orbit_exact_finite,
     orbit_values,
     star_discrepancy,
     truncation_depth,
@@ -41,12 +40,10 @@ from .stats import (
     ConvergenceReport,
     admissible,
     admissible_blocks,
-    count_block,
     count_block_checkpoints,
     expected_count,
     growth_diagnostic,
     normality_report,
-    starred_variants,
 )
 from .transforms import (
     Schedule,
@@ -55,7 +52,6 @@ from .transforms import (
     build_patched_uniform,
     build_half_range,
     clip_digits,
-    clip_chain,
 )
 from .values import CertifiedInterval, prefix_value, to_base_b
 

@@ -165,7 +165,12 @@ def _emit(args, chunks: Iterable[bytes], manifest_params: dict) -> None:
             "version": __version__,
             "output_sha256": digest.hexdigest(),
         }
-        Path(args.manifest).write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+        try:
+            Path(args.manifest).write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+        except OSError as exc:
+            raise ArgumentError(
+                f"cannot write the manifest to {excerpt(args.manifest)}: {exc.strerror}"
+            ) from exc
 
 
 def _csv(rows) -> str:

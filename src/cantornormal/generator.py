@@ -29,23 +29,6 @@ from .sequences import BasicSequence, check_position
 DEFAULT_SPILL_LIMIT = 10**7
 
 
-class OccurrenceCounters:
-    """Counts how often each base block has appeared within one region."""
-
-    def __init__(self):
-        self._counts: dict = {}
-
-    def bump(self, bases: tuple) -> int:
-        """Record one more occurrence and return its 1-based ordinal."""
-        c = self._counts.get(bases, 0) + 1
-        if c == 1 and len(self._counts) >= DEFAULT_SPILL_LIMIT:
-            raise CounterSpillError(
-                f"more than {DEFAULT_SPILL_LIMIT} distinct base windows in one region"
-            )
-        self._counts[bases] = c
-        return c
-
-
 def _counting_digits(out: np.ndarray, c: int, r: int, start: int = 0) -> None:
     """Fill `out` with the big-endian r-digit base-c counting sequence
     0, 1, 2, ... mod c**r, read from its digit `start` on and cut to
@@ -157,10 +140,15 @@ def digit_stream(seq: BasicSequence) -> Iterator[int]:
     while True:
         lo, hi = pi.region(r)
         # ordinals restart in every region, so do the counts and the spill limit
-        counters = OccurrenceCounters()
+        counts: dict = {}
         for wstart in range(lo + 1, hi + 1, r):
             bases = tuple(int(seq.base_at(wstart + i)) for i in range(r))
-            occ = counters.bump(bases)
+            occ = counts.get(bases, 0) + 1
+            if occ == 1 and len(counts) >= DEFAULT_SPILL_LIMIT:
+                raise CounterSpillError(
+                    f"more than {DEFAULT_SPILL_LIMIT} distinct base windows in one region"
+                )
+            counts[bases] = occ
             ordinal = (occ - 1) % math.prod(bases) + 1
             yield from block_from_index(bases, ordinal)
         r += 1

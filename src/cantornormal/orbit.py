@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ArgumentError, excerpt
 from .kernels import orbit_numbers
 from .ladder import PartitionIndex
-from .sequences import BasicSequence
+from .sequences import BasicSequence, check_checkpoints
 
 # orbit indices per orbit block and per block of the discrepancy tail: keeps
 # the per-step temporaries at a few MB however many points are asked for
@@ -128,29 +128,6 @@ def _run_base(seq: BasicSequence, first: int, last: int, d: int) -> int | None:
     return c if c == seq.base_at(last) and c**d <= 1 << 61 else None
 
 
-def orbit_exact_finite(seq: BasicSequence, x, m: int) -> Fraction:
-    """Exact orbit value at index m for a number with finitely many digits.
-
-    `x` is either a rational in [0, 1) or a finite digit prefix (all later
-    digits zero)."""
-    if m < 0:
-        raise ArgumentError(f"orbit index must be >= 0, got {m}")
-    if isinstance(x, Rational):
-        value = Fraction(x)
-    else:
-        value = Fraction(0)
-        den = 1
-        for i, d in enumerate(x, start=1):
-            q = seq.base_at(i)
-            den *= q
-            if not 0 <= int(d) < q:
-                raise ArgumentError(f"digit {d} at position {i} outside 0..{q - 1}")
-            value += Fraction(int(d), den)
-    for i in range(1, m + 1):
-        value *= seq.base_at(i)
-    return value % 1
-
-
 def _exact_values(values) -> list[Fraction] | None:
     if isinstance(values, np.ndarray):
         return None
@@ -252,9 +229,7 @@ def orbit_discrepancy_report(E, checkpoints, *, depth: int | None = None) -> Dis
     fl(fl(i/N) - x) is nondecreasing in i, so a group at sorted indices a..b
     has its largest d_i at b and its smallest at a: the very floats that
     `_sorted_discrepancies` takes its max and min over."""
-    cps = sorted({int(n) for n in checkpoints})
-    if not cps or cps[0] < 1:
-        raise ArgumentError(f"checkpoints must be >= 1, got {excerpt(checkpoints)}")
+    cps = check_checkpoints(checkpoints)
     xs, ks = np.empty(0), np.empty(0, dtype=np.int64)
     pending, max_eps, rows = [], 0.0, []
     for _, hi, num, den in _orbit_blocks(E, cps[-1], depth, cps):

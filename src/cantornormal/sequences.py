@@ -44,6 +44,15 @@ def check_length(n: int) -> None:
         raise ArgumentError(f"a length of {excerpt(n)} is past what an int64 array can address")
 
 
+def check_checkpoints(checkpoints) -> list[int]:
+    """The distinct checkpoints in ascending order; refuses an empty list and
+    a checkpoint below 1."""
+    cps = sorted({int(n) for n in checkpoints})
+    if not cps or cps[0] < 1:
+        raise ArgumentError(f"checkpoints must be >= 1, got {excerpt(checkpoints)}")
+    return cps
+
+
 def floor_log2(v: int) -> int:
     """Exact floor(log2(v)) for a positive integer."""
     return v.bit_length() - 1

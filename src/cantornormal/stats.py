@@ -17,8 +17,7 @@ import numpy as np
 
 from .errors import ArgumentError, excerpt
 from .kernels import match_mask
-from .ladder import PartitionIndex
-from .sequences import BasicSequence, check_position
+from .sequences import BasicSequence, check_checkpoints, check_position
 
 
 def _as_block(block) -> tuple:
@@ -168,57 +167,19 @@ def admissible_blocks(seq: BasicSequence, k: int, n: int) -> list[tuple]:
     return [tuple(b) for b in np.argwhere(grid).tolist()]
 
 
-def count_block(E, block, n: int) -> int:
-    """Occurrences of `block` with start position <= n in the digit stream.
+def count_block_checkpoints(E, block, checkpoints) -> list[int]:
+    """Occurrences of `block` with start position <= n in the digit stream,
+    for each checkpoint n in the order given, from one scan.
 
     An occurrence is counted at its start even if it extends past n, so the
     stream must reach position n + len(block) - 1.
     """
-    check_position(n)
-    return count_block_checkpoints(E, block, [n])[0]
-
-
-def count_block_checkpoints(E, block, checkpoints) -> list[int]:
-    """count_block at each checkpoint, sharing one scan."""
     b = _as_block(block)
     cps = [int(n) for n in checkpoints]
-    if any(n < 1 for n in cps):
-        raise ArgumentError(f"checkpoints must be >= 1, got {excerpt(cps)}")
-    top = max(cps)
+    top = check_checkpoints(cps)[-1]
     digits = E.prefix(top + len(b) - 1)
     positions = np.flatnonzero(match_mask(digits, b, top)) + 1
     return [int(np.searchsorted(positions, n, side="right")) for n in cps]
-
-
-def window_end_positions(index: PartitionIndex, n: int) -> np.ndarray:
-    """For each start position 1..n, the last position of its window."""
-    ends = np.empty(n, dtype=np.int64)
-    r = 1
-    while True:
-        lo, hi = index.region(r)
-        if lo >= n:
-            break
-        if hi > lo:
-            span_top = min(hi, n)
-            pos = np.arange(lo + 1, span_top + 1, dtype=np.int64)
-            ends[lo:span_top] = lo + ((pos - lo - 1) // r + 1) * r
-        r += 1
-    return ends
-
-
-def starred_variants(E, block, n: int) -> tuple[Fraction, int]:
-    """Expected and observed counts restricted to occurrences that fit
-    entirely inside a single base window."""
-    b = _as_block(block)
-    check_position(n)
-    k, seq = len(b), E.seq
-    mask, prods = _window_masses(seq.bases(1, n + k - 1), b, n)
-    ends = window_end_positions(PartitionIndex(seq), n)
-    inside = np.arange(1, n + 1, dtype=np.int64) + (k - 1) <= ends
-    q_star = _mass_sums(mask & inside, prods, [n])[0]
-    digits = E.prefix(n + k - 1)
-    n_star = int((match_mask(digits, b, n) & inside).sum())
-    return q_star, n_star
 
 
 @dataclass
@@ -323,9 +284,7 @@ def normality_report(E, blocks, checkpoints) -> ConvergenceReport:
     A zero expected count yields a None ratio rather than an error.
     """
     blocks = [_as_block(b) for b in blocks]
-    cps = sorted({int(n) for n in checkpoints})
-    if not cps or cps[0] < 1:
-        raise ArgumentError(f"checkpoints must be >= 1, got {excerpt(checkpoints)}")
+    cps = check_checkpoints(checkpoints)
     report = ConvergenceReport(cps)
     expected_counts = _expected_counter(E.seq, cps[-1] + max(map(len, blocks), default=1) - 1)
     for b in blocks:
@@ -384,12 +343,9 @@ def growth_diagnostic(seq: BasicSequence, block, checkpoints) -> GrowthDiagnosti
     """Evaluate expected_count(n) / (n * log q(n) / log n) along a checkpoint
     ladder. n = 1 is skipped (log 1 = 0)."""
     b = _as_block(block)
-    cps = sorted({int(n) for n in checkpoints})
-    if any(n < 1 for n in cps):
-        raise ArgumentError(f"checkpoints must be >= 1, got {excerpt(checkpoints)}")
     rows: list[GrowthRow] = []
     best = -math.inf
-    cps = [n for n in cps if n > 1]
+    cps = [n for n in check_checkpoints(checkpoints) if n > 1]
     expected = _expected_counter(seq, cps[-1] + len(b) - 1)(b, cps) if cps else []
     for n, exp in zip(cps, expected):
         qn = seq.running_max(n)

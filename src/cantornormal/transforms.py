@@ -57,35 +57,25 @@ class ClampCounter:
 
 
 # ---------------------------------------------------------------------------
-# clip map and composition
+# clip map
 # ---------------------------------------------------------------------------
 
 def clip_digits(x: DigitSequence, target: BasicSequence) -> DigitSequence:
-    """Clip each digit of x below the target base: digit' = min(digit, q-1)."""
+    """Clip each digit of x below the target base: digit' = min(digit, q-1).
 
-    def source(n: int) -> np.ndarray:
-        return np.minimum(x.prefix(n), target.bases(1, n) - 1)
+    Its prefix is its window from 0 read into a fresh array: a stream x that
+    decodes windows alone writes its digits straight into that array and
+    caches none, so a clip pipeline holds one copy of its digits."""
 
-    def window(lo: int, hi: int, out: np.ndarray) -> None:
-        np.minimum(x.window(lo, hi, out), target.bases(lo + 1, hi) - 1, out=out)
+    def window(lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+        return np.minimum(x.window(lo, hi, out), target.bases(lo + 1, hi) - 1, out=out)
 
     return DigitSequence(
-        target, source, {"op": "clip", "seq": target.to_json(), "of": x.description},
+        target,
+        lambda n: window(0, n, np.empty(n, dtype=np.int64)),
+        {"op": "clip", "seq": target.to_json(), "of": x.description},
         window=window,
     )
-
-
-def clip_chain(seqs, x: DigitSequence) -> DigitSequence:
-    """Left-to-right composition of clip maps along a list of sequences."""
-    seqs = list(seqs)
-    if len(seqs) < 2:
-        raise ArgumentError("a clip chain needs at least two sequences")
-    if x.seq != seqs[0]:
-        raise ArgumentError("digit stream is not declared against the first sequence")
-    out = x
-    for target in seqs[1:]:
-        out = clip_digits(out, target)
-    return out
 
 
 # ---------------------------------------------------------------------------

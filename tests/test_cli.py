@@ -340,12 +340,13 @@ BAD_BLOCKS = ["-1", "1-", "0,,1"]
      "int64-periodic-diagnose", "int64-table-diagnose", "int64-constant-stats",
      "int64-constant-discrepancy", "past-int64-count", "past-int64-construct-count",
      "past-int64-exact", "past-int64-checkpoint", "past-int64-periodic-checkpoint",
-     "past-int64-diagnose-checkpoint", "past-int64-depth", "diagnose-empty-block-field"]
+     "past-int64-diagnose-checkpoint", "past-int64-depth", "diagnose-empty-block-field",
+     "manifest-parent-missing", "manifest-is-dir"]
     + [f"digit-json {text}" for text in BAD_DIGIT_JSON_FILES]
     + [f"json-seq {text}" for text in BAD_SEQ_JSON]
     + [f"empty-block-field {text}" for text in BAD_BLOCKS],
 )
-def test_bad_input_exits_2(capsys, tmp_path, case):
+def test_bad_input_exits_2(capsys, monkeypatch, tmp_path, case):
     kind, _, text = case.partition(" ")
     digit_file = tmp_path / "digits.csv"
     digit_file.write_text("1,0\n2,x\n")
@@ -439,13 +440,21 @@ def test_bad_input_exits_2(capsys, tmp_path, case):
                               "--checkpoints", "10"),
         "diagnose-empty-block-field": ("diagnose", "--seq", "constant:2", "--block", "-1",
                                        "--checkpoints", "10,100"),
+        # the manifest is written after the output, which is complete by then
+        "manifest-parent-missing": ("digits", "--seq", "constant:2", "--count", "5",
+                                    "--manifest", "missing/m.json"),
+        "manifest-is-dir": ("digits", "--seq", "constant:2", "--count", "5",
+                            "--manifest", "."),
     }[kind]
+    monkeypatch.chdir(tmp_path)
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert "error[argument]" in err
     assert len(err) < 1024
     if kind == "huge-int-digit-file":
         assert "bad JSON" in err  # the parse error, not a missing key
+    if kind.startswith("manifest-"):
+        assert err.count("\n") == 1 and f"manifest to {argv[-1]!r}:" in err
 
 
 def test_block_digits_separate_by_comma_or_dash(capsys):

@@ -156,6 +156,11 @@ def command_line(draw, files):
         argv += ["--block", ",".join(map(str, block)), "--checkpoints", checkpoint_list(draw)]
     if command in ("stats", "discrepancy", "diagnose"):
         argv += ["--format", draw(st.sampled_from(["csv", "json"]))]
+    if draw(st.booleans()):
+        # a writable file, a directory, or a path whose parent is missing
+        manifest = draw(st.sampled_from([files.root / "manifest.json", files.root,
+                                         files.root / "missing" / "manifest.json"]))
+        argv += ["--manifest", str(manifest)]
     return argv
 
 

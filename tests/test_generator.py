@@ -7,7 +7,6 @@ from cantornormal import (
     ArgumentError,
     ConstantSequence,
     CounterSpillError,
-    OccurrenceCounters,
     PeriodicSequence,
     TableSequence,
     digit_at,
@@ -104,14 +103,16 @@ def test_generate_count_validation(c2):
     assert generate_digits(c2, 0).size == 0
 
 
-def test_occurrence_counters_spill(monkeypatch):
-    monkeypatch.setattr(generator, "DEFAULT_SPILL_LIMIT", 2)
-    counters = OccurrenceCounters()
-    assert counters.bump((2,)) == 1
-    assert counters.bump((3,)) == 1
-    assert counters.bump((2,)) == 2
-    with pytest.raises(CounterSpillError):
-        counters.bump((4,))
+def test_digit_stream_spills_at_the_second_distinct_window(monkeypatch, p23):
+    # region 1 of periodic:2,3 opens with the windows (2,) and (3,): the
+    # first one yields its digit, the second one is one past the limit 1
+    monkeypatch.setattr(generator, "DEFAULT_SPILL_LIMIT", 1)
+    lo, _ = PartitionIndex(p23).region(1)
+    stream = digit_stream(p23)
+    assert len(list(itertools.islice(stream, lo + 1))) == lo + 1
+    with pytest.raises(CounterSpillError) as info:
+        next(stream)
+    assert str(info.value) == "more than 1 distinct base windows in one region"
 
 
 @pytest.mark.parametrize("limit", [1, 2])

@@ -24,7 +24,6 @@ from cantornormal import (
     orbit_discrepancy_report,
     extreme_discrepancy,
     finite_digits,
-    orbit_exact_finite,
     orbit_values,
     parse_sequence_spec,
     star_discrepancy,
@@ -34,7 +33,7 @@ from cantornormal import orbit
 from cantornormal.kernels import orbit_numbers
 from cantornormal.ladder import PartitionIndex
 
-from orbit_oracles import orbit_truncated
+from orbit_oracles import orbit_exact_finite, orbit_truncated
 
 
 def brute_star(values):

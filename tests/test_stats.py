@@ -14,16 +14,16 @@ from cantornormal import (
     admissible,
     admissible_blocks,
     constructed_digits,
-    count_block,
     count_block_checkpoints,
     expected_count,
     finite_digits,
     growth_diagnostic,
     normality_report,
-    starred_variants,
 )
 from cantornormal.ladder import PartitionIndex
-from cantornormal.stats import format_block, window_end_positions
+from cantornormal.stats import format_block
+
+from stats_oracles import starred_variants, window_end_positions
 
 
 def brute_expected(seq, block, n):
@@ -106,10 +106,15 @@ def test_admissible_blocks_and_checkpoint_sums(kind, pattern, k, checkpoints):
 
 def test_count_block_examples(c2):
     digits = finite_digits(c2, [0, 1, 0, 1, 0, 1])
-    assert count_block(digits, [0, 1], 4) == 2
-    assert count_block(finite_digits(c2, [0, 1, 0, 1]), [1, 1], 3) == 0
+    assert count_block_checkpoints(digits, [0, 1], [4])[0] == 2
+    assert count_block_checkpoints(finite_digits(c2, [0, 1, 0, 1]), [1, 1], [3])[0] == 0
     with pytest.raises(ArgumentError):
-        count_block(digits, [], 3)
+        count_block_checkpoints(digits, [], [3])
+
+
+def test_count_block_checkpoints_refuses_an_empty_list(c2):
+    with pytest.raises(ArgumentError):
+        count_block_checkpoints(finite_digits(c2, [0, 1]), [0], [])
 
 
 def test_finite_digits_description_counts_the_digits(c2):
@@ -120,7 +125,7 @@ def test_finite_digits_description_counts_the_digits(c2):
 
 def test_count_block_needs_lookahead(c2):
     with pytest.raises(ArgumentError):
-        count_block(finite_digits(c2, [0, 1, 0]), [0, 1], 3)  # position 4 missing
+        count_block_checkpoints(finite_digits(c2, [0, 1, 0]), [0, 1], [3])  # position 4 missing
 
 
 def test_count_block_checkpoints_matches_brute(c2):
@@ -140,14 +145,14 @@ def test_count_increment_is_zero_or_one(digits, block):
     if top < 2:
         return
     E = finite_digits(ConstantSequence(2), digits)
-    counts = [count_block(E, block, n) for n in range(1, top + 1)]
+    counts = count_block_checkpoints(E, block, range(1, top + 1))
     assert all(b - a in (0, 1) for a, b in zip(counts, counts[1:]))
 
 
 def test_single_digit_counts_partition_positions(c2):
     E = constructed_digits(c2)
     n = 4096
-    total = sum(count_block(E, [b], n) for b in (0, 1))
+    total = sum(count_block_checkpoints(E, [b], [n])[0] for b in (0, 1))
     assert total == n
 
 
@@ -191,7 +196,7 @@ def test_starred_bounds(c2, c2_index):
         for n in (24, 124, 622, 3122):
             q_star, n_star = starred_variants(E, block, n)
             q_full = expected_count(c2, block, n)
-            n_full = count_block(E, block, n)
+            n_full = count_block_checkpoints(E, block, [n])[0]
             assert q_star <= q_full
             assert n_star <= n_full
             # the gap is at most (straddling positions) * max window mass

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -18,10 +19,9 @@ from cantornormal import (
     build_patched_uniform,
     build_half_range,
     constructed_digits,
-    count_block,
+    count_block_checkpoints,
     finite_digits,
     clip_digits,
-    clip_chain,
 )
 from cantornormal import transforms
 from cantornormal.transforms import divergence_modulus
@@ -55,41 +55,29 @@ def test_clip_never_increases_digits(raw):
 
 
 def test_clip_chain_example():
-    seqs = [ConstantSequence(4), ConstantSequence(3), ConstantSequence(2)]
-    x = finite_digits(seqs[0], [3, 2, 1])
-    assert clip_chain(seqs, x).prefix(3).tolist() == [1, 1, 1]
+    x = finite_digits(ConstantSequence(4), [3, 2, 1])
+    chain = clip_digits(clip_digits(x, ConstantSequence(3)), ConstantSequence(2))
+    assert chain.prefix(3).tolist() == [1, 1, 1]
 
 
 def test_clip_chain_identity_and_min_law():
-    seqs = [ConstantSequence(5)] * 3
-    x = finite_digits(seqs[0], [4, 0, 3])
-    assert clip_chain(seqs, x).prefix(3).tolist() == [4, 0, 3]
-    chain = [ConstantSequence(6), PeriodicSequence([2, 5]), ConstantSequence(4)]
-    donor = finite_digits(chain[0], [5, 5, 1, 0])
-    out = clip_chain(chain, donor).prefix(4)
-    caps = np.minimum(chain[1].bases(1, 4) - 1, chain[2].bases(1, 4) - 1)
+    c5 = ConstantSequence(5)
+    x = finite_digits(c5, [4, 0, 3])
+    assert clip_digits(clip_digits(x, c5), c5).prefix(3).tolist() == [4, 0, 3]
+    p25, c4 = PeriodicSequence([2, 5]), ConstantSequence(4)
+    donor = finite_digits(ConstantSequence(6), [5, 5, 1, 0])
+    out = clip_digits(clip_digits(donor, p25), c4).prefix(4)
+    caps = np.minimum(p25.bases(1, 4) - 1, c4.bases(1, 4) - 1)
     assert (out == np.minimum([5, 5, 1, 0], caps)).all()
 
 
-def test_clip_chain_validation():
-    x = finite_digits(ConstantSequence(3), [1])
-    with pytest.raises(ArgumentError):
-        clip_chain([ConstantSequence(3)], x)
-    with pytest.raises(ArgumentError):
-        clip_chain([ConstantSequence(4), ConstantSequence(3)], x)
-
-
 def test_chain_count_stability_donor3_to_4():
-    donor_seq = ConstantSequence(3)
-    x = constructed_digits(donor_seq)
-    y = clip_chain([donor_seq, ConstantSequence(4)], x)
-    top = 10**4
-    worst = 0
+    x = constructed_digits(ConstantSequence(3))
+    y = clip_digits(x, ConstantSequence(4))
+    cps = [100, 1000, 10**4]
     for block in ([0], [1], [2], [0, 1], [2, 2], [1, 0]):
-        for n in (100, 1000, top):
-            diff = abs(count_block(y, block, n) - count_block(x, block, n))
-            worst = max(worst, diff)
-    assert worst == 0  # digits below 3 are never clipped by base 4
+        # digits below 3 are never clipped by base 4
+        assert count_block_checkpoints(y, block, cps) == count_block_checkpoints(x, block, cps)
 
 
 # -- uniformly distributed drivers -----------------------------------------
@@ -141,6 +129,19 @@ def test_orbit_sink_digit_bound(log_preset):
     assert (digits <= cap).all()
 
 
+def test_orbit_sink_prefix_holds_one_copy_of_its_digits():
+    # each clip reads its inner window into the outer array, so no inner
+    # stream caches a prefix; three int64 copies of 2e6 digits took 61 MiB
+    y = build_orbit_sink(PresetSequence("iterated-log"))
+    tracemalloc.start()
+    try:
+        y.prefix(2_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
+
+
 def test_orbit_sink_refuses_bounded_bases():
     with pytest.raises(ArgumentError):
         build_orbit_sink(ConstantSequence(10))
@@ -158,8 +159,8 @@ def test_half_range_witness(log_preset):
 def test_half_range_ratio_balance(log_preset):
     y = build_half_range(log_preset)
     n = 3 * 10**4
-    n0 = count_block(y, [0], n)
-    n1 = count_block(y, [1], n)
+    [n0] = count_block_checkpoints(y, [0], [n])
+    [n1] = count_block_checkpoints(y, [1], [n])
     assert abs(n0 / n1 - 1) < 0.05
     # absolute frequency drifts high: digits live in the lower half
     from cantornormal import expected_count
