@@ -9,7 +9,8 @@ the presets, pointwise over one of those) gives first_position in closed
 form, so its bases come as runs of constant base. Every other kind
 (periodic, table, pointwise over one of those) lists a head of bases
 followed by a cycle that repeats forever. BasicSequence evaluates both
-descriptions; the kinds only supply them.
+descriptions, including the base windows that block statistics read as
+classes of starts; the kinds only supply them.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import json
 import math
 import operator
 import sys
+from bisect import bisect_right
 from pathlib import Path
 
 import numpy as np
@@ -195,6 +197,32 @@ class BasicSequence:
             return head
         tail = np.arange(max(lo, h + 1) - h - 1, hi - h, dtype=np.int64) % len(self.cycle)
         return np.concatenate([head, _int64(self.cycle)[tail]])
+
+    def window_classes(self, k: int, n: int) -> tuple[np.ndarray, ...]:
+        """The length-k base windows at starts 1..n as classes of starts:
+        arrays first, last, step and a (classes, k) array of windows; the
+        starts first, first + step, ... up to last share one window row.
+        A nondecreasing kind gives one class of step 1 per run interior,
+        window (c, ..., c), and one per start among the k-1 before each
+        run's end, in Python ints (positions may pass int64); any other
+        kind one class per head start and one of step p per cycle phase."""
+        if self.nondecreasing:
+            runs = self.base_runs(1, n + k - 1)
+            starts = [a for a, _, _ in runs]
+            classes = []
+            for a, b, c in runs:
+                if b - k >= a:
+                    classes.append((a, b - k, 1, [c] * k))
+                classes += [(i, i, 1, [runs[bisect_right(starts, i + j) - 1][2]
+                                       for j in range(k)])
+                            for i in range(max(a, b - k + 1), min(b, n + 1))]
+            return tuple(np.array(column, dtype=object) for column in zip(*classes))
+        check_length(n + k - 1)
+        h, p = len(self.head), len(self.cycle)
+        first = np.arange(1, min(h + p, n) + 1, dtype=np.int64)
+        windows = np.lib.stride_tricks.sliding_window_view(self.bases(1, first.size + k - 1), k)
+        in_head = first <= h
+        return first, np.where(in_head, first, n), np.where(in_head, 1, p), windows
 
     def running_max(self, n: int) -> int:
         """Largest base among the first n positions."""

@@ -6,9 +6,7 @@ final ratio columns of reports.
 
 from __future__ import annotations
 
-import itertools
 import math
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -44,77 +42,27 @@ def _check_product_width(top: int, k: int) -> None:
         raise ArgumentError(f"window products of {k} bases up to {top} overflow int64")
 
 
-def _window_masses(bases: np.ndarray, block: tuple, n: int):
-    """Admissibility mask over start positions 1..n plus the window products
-    q_i * ... * q_{i+k-1}, from bases of positions 1 through at least n+k-1."""
-    _check_product_width(int(bases.max(initial=1)), len(block))
-    mask = np.ones(n, dtype=bool)
-    prods = np.ones(n, dtype=np.int64)
+def _expected_counts(seq: BasicSequence, block: tuple, checkpoints) -> list[Fraction]:
+    """Exact expected counts of `block` at each n of an ascending checkpoint
+    list: the sum of 1/(q_i...q_{i+k-1}) over the starts i <= n whose base
+    window lies above the block, taken over the classes of starts of
+    seq.window_classes grouped by window product."""
+    k = len(block)
+    first, last, step, windows = seq.window_classes(k, checkpoints[-1])
+    top = int(windows.max())
+    _check_product_width(top, k)
+    keep = np.ones(len(first), dtype=bool)
     for j, d in enumerate(block):
-        span = bases[j : j + n]
-        mask &= span > d
-        prods *= span
-    return mask, prods
-
-
-def _mass_sums(mask: np.ndarray, prods: np.ndarray, checkpoints) -> list[Fraction]:
-    """Exact sums of 1/prods over the masked starts i <= n, one per n of an
-    ascending checkpoint list, accumulated in one pass."""
+        # a digit may pass int64; one at or above every base keeps no class
+        keep &= windows[:, j] > min(d, top)
+    prods, group = np.unique(np.prod(windows[keep], axis=1), return_inverse=True)
+    first, last, step = first[keep], last[keep], step[keep]
     sums = []
-    total = Fraction(0)
-    lo = 0
     for n in checkpoints:
-        values, counts = np.unique(prods[lo:n][mask[lo:n]], return_counts=True)
-        for v, c in zip(values, counts):
-            total += Fraction(int(c), int(v))
-        sums.append(total)
-        lo = n
+        starts = np.zeros(len(prods), dtype=first.dtype)
+        np.add.at(starts, group, np.maximum(0, (np.minimum(last, n) - first) // step + 1))
+        sums.append(sum((Fraction(int(c), int(v)) for v, c in zip(prods, starts)), Fraction(0)))
     return sums
-
-
-def _array_expected_counts(bases: np.ndarray, block: tuple, checkpoints) -> list[Fraction]:
-    return _mass_sums(*_window_masses(bases, block, checkpoints[-1]), checkpoints)
-
-
-def _run_expected_counts(runs, block: tuple, checkpoints) -> list[Fraction]:
-    """_array_expected_counts in closed form over the constant-base runs
-    (start, stop, base) of a nondecreasing sequence, covering positions 1
-    through at least n+k-1 for the last checkpoint n.
-
-    A start whose window lies wholly in a run of base c adds c**-k when
-    every block digit is below c; only the k-1 starts before each run's
-    stop need their window's product.
-    """
-    k, top, last = len(block), max(block), checkpoints[-1]
-    _check_product_width(runs[-1][2], k)
-    starts = [s for s, _, _ in runs]
-
-    def base(p: int) -> int:
-        return runs[bisect_right(starts, p) - 1][2]
-
-    pieces = []  # (first start, last start, mass of each start)
-    for start, stop, c in runs:
-        if stop - k >= start and top < c:
-            pieces.append((start, stop - k, Fraction(1, c**k)))
-        for i in range(max(start, stop - k + 1), min(stop, last + 1)):
-            window = [base(i + j) for j in range(k)]
-            if all(d < q for d, q in zip(block, window)):
-                pieces.append((i, i, Fraction(1, math.prod(window))))
-    return [sum(((min(hi, n) - lo + 1) * mass for lo, hi, mass in pieces if lo <= n),
-                Fraction(0))
-            for n in checkpoints]
-
-
-def _expected_counter(seq: BasicSequence, hi: int):
-    """A function (block, ascending checkpoints) -> exact expected counts at
-    each checkpoint, for blocks and checkpoints whose windows end by
-    position hi. It reads the bases of positions 1..hi once: as runs of
-    constant base on a nondecreasing sequence, else as one array."""
-    if seq.nondecreasing:
-        runs = seq.base_runs(1, hi)
-        return lambda block, checkpoints: _run_expected_counts(runs, block, checkpoints)
-    bases = seq.bases(1, hi)
-    return lambda block, checkpoints: _array_expected_counts(bases, block, checkpoints)
 
 
 def expected_count(seq: BasicSequence, block, n: int) -> Fraction:
@@ -122,28 +70,19 @@ def expected_count(seq: BasicSequence, block, n: int) -> Fraction:
     independent uniform digits: sum of 1/(q_i...q_{i+k-1}) over admissible i."""
     b = _as_block(block)
     check_position(n)
-    return _expected_counter(seq, n + len(b) - 1)(b, [n])[0]
+    return _expected_counts(seq, b, [n])[0]
 
 
 _MAX_CANDIDATES = 10**5
-
-
-def _check_candidates(limits: list[int], k: int) -> None:
-    total = math.prod(limits)
-    if total > _MAX_CANDIDATES:
-        raise ArgumentError(f"{total} candidate blocks of length {k}; out of desk range")
 
 
 def admissible_blocks(seq: BasicSequence, k: int, n: int) -> list[tuple]:
     """Every length-k block admissible at some start position 1..n, in
     lexicographic order: the blocks with a nonzero expected count.
 
-    On a nondecreasing sequence a block admissible at some i <= n is also
-    admissible at n, so these are the blocks below the base window at n.
-    Otherwise a block is admissible at i when it lies below the base window
-    starting at i, so marking each window's top corner in the grid of
-    candidates and sweeping a suffix OR along every axis marks exactly the
-    admissible ones.
+    A block is admissible at i when it lies below the base window starting
+    at i, so marking each window's top corner in the grid of candidates and
+    sweeping a suffix OR along every axis marks exactly the admissible ones.
     """
     if k < 1:
         raise ArgumentError(f"block length must be >= 1, got {excerpt(k)}")
@@ -153,15 +92,13 @@ def admissible_blocks(seq: BasicSequence, k: int, n: int) -> list[tuple]:
         raise ArgumentError(
             f"at least 2**k candidate blocks of length k = {excerpt(k)}; out of desk range"
         )
-    if seq.nondecreasing:
-        limits = seq.bases(n, n + k - 1).tolist()
-        _check_candidates(limits, k)
-        return list(itertools.product(*map(range, limits)))
-    bases = seq.bases(1, n + k - 1)
-    limits = [int(bases[j : j + n].max()) for j in range(k)]
-    _check_candidates(limits, k)
+    windows = seq.window_classes(k, n)[3]
+    limits = [int(top) for top in windows.max(axis=0)]
+    total = math.prod(limits)
+    if total > _MAX_CANDIDATES:
+        raise ArgumentError(f"{total} candidate blocks of length {k}; out of desk range")
     grid = np.zeros(limits, dtype=bool)
-    grid[tuple(bases[j : j + n] - 1 for j in range(k))] = True
+    grid[tuple(windows.astype(np.int64).T - 1)] = True
     for axis in range(k):
         grid = np.flip(np.logical_or.accumulate(np.flip(grid, axis), axis), axis)
     return [tuple(b) for b in np.argwhere(grid).tolist()]
@@ -286,10 +223,9 @@ def normality_report(E, blocks, checkpoints) -> ConvergenceReport:
     blocks = [_as_block(b) for b in blocks]
     cps = check_checkpoints(checkpoints)
     report = ConvergenceReport(cps)
-    expected_counts = _expected_counter(E.seq, cps[-1] + max(map(len, blocks), default=1) - 1)
     for b in blocks:
         counts = count_block_checkpoints(E, b, cps)
-        for n, obs, exp in zip(cps, counts, expected_counts(b, cps)):
+        for n, obs, exp in zip(cps, counts, _expected_counts(E.seq, b, cps)):
             ratio = None if exp == 0 else obs / float(exp)
             report.rows.append(BlockCountRow(b, n, obs, exp, ratio))
     return report
@@ -346,7 +282,7 @@ def growth_diagnostic(seq: BasicSequence, block, checkpoints) -> GrowthDiagnosti
     rows: list[GrowthRow] = []
     best = -math.inf
     cps = [n for n in check_checkpoints(checkpoints) if n > 1]
-    expected = _expected_counter(seq, cps[-1] + len(b) - 1)(b, cps) if cps else []
+    expected = _expected_counts(seq, b, cps) if cps else []
     for n, exp in zip(cps, expected):
         qn = seq.running_max(n)
         scale = n * math.log(qn) / math.log(n)

@@ -95,7 +95,7 @@ class UDSource:
         if kind not in self.KINDS:
             raise ArgumentError(f"unknown uniform driver {kind!r}; expected {self.KINDS}")
         self.kind = kind
-        self._farey_arrays = (np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64))
+        self._farey_counts = np.zeros(1, dtype=np.int64)
 
     def value(self, n: int) -> Fraction:
         check_position(n)
@@ -103,8 +103,8 @@ class UDSource:
             bits = n.bit_length()
             rev = int(bin(n)[2:][::-1], 2)
             return Fraction(rev, 1 << bits)
-        num, den = self._farey_terms(n)
-        return Fraction(int(num[n - 1]), int(den[n - 1]))
+        num, den = self._farey_terms(np.array([n], dtype=np.int64))
+        return Fraction(int(num[0]), int(den[0]))
 
     def leads(self, n: np.ndarray, q: np.ndarray) -> np.ndarray:
         """floor(value(n) * q) for arrays of positions and bases, in int64."""
@@ -119,29 +119,32 @@ class UDSource:
                 rev = (rev << 1) | ((n >> k) & 1)
             # rev holds each n reversed over `top` bits; drop the zeros above n's top bit
             return ((rev >> (top - bits)) * q) >> bits
-        a, d = self._farey_terms(int(n.max()))
-        a, d = a[n - 1], d[n - 1]
+        a, d = self._farey_terms(n)
         _check_lead_width(int(d.max()).bit_length(), q, "farey")
         return a * q // d
 
-    def _farey_terms(self, size: int) -> tuple[np.ndarray, np.ndarray]:
-        """Numerators and denominators of at least the first `size` farey
-        terms, built one denominator at a time; the table at least doubles
-        when it grows."""
-        num, den = self._farey_arrays
-        if num.size >= size:
-            return self._farey_arrays
-        parts_num, parts_den = [num], [den]
-        d, total = int(den[-1]), num.size
-        while total < max(size, 2 * num.size):
-            d += 1
-            a = np.arange(1, d, dtype=np.int64)
-            a = a[np.gcd(a, d) == 1]
-            parts_num.append(a)
-            parts_den.append(np.full(a.size, d, dtype=np.int64))
-            total += a.size
-        self._farey_arrays = (np.concatenate(parts_num), np.concatenate(parts_den))
-        return self._farey_arrays
+    def _farey_terms(self, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Numerators and denominators of the farey terms at positions n.
+        Term n's denominator is the least d whose totient prefix count
+        phi(1) + ... + phi(d) reaches n, and its numerator the rank-th
+        integer below d coprime to d; d is about 1.8 sqrt(n), so no table
+        grows with n."""
+        top = int(n.max())
+        size = len(self._farey_counts)
+        while self._farey_counts[-1] < top:
+            size *= 2
+            phi = np.arange(size, dtype=np.int64)
+            for p in range(2, size):
+                if phi[p] == p:  # untouched by a smaller prime, so p is prime
+                    phi[p::p] -= phi[p::p] // p
+            self._farey_counts = np.cumsum(phi)
+        counts = self._farey_counts
+        den = np.searchsorted(counts, n)
+        dens, group = np.unique(den, return_inverse=True)
+        # gcd(0, d) = d, so 0 is coprime to 1 only and term 1 is 0/1
+        coprime = [np.flatnonzero(np.gcd(np.arange(d), d) == 1) for d in dens.tolist()]
+        offsets = np.cumsum([0] + [c.size for c in coprime[:-1]])
+        return np.concatenate(coprime)[offsets[group] + n - counts[den - 1] - 1], den
 
     def to_json(self) -> dict:
         return {"kind": self.kind}

@@ -2,10 +2,14 @@
 
 Each threshold the schedule finds by a running scan is the least position
 where one of these direct predicates turns true; tests compare the two to
-check the schedule's minimality certificates.
+check the schedule's minimality certificates. `farey_table` lists the farey
+driver's terms one denominator at a time, against which tests check the
+driver's direct lookup.
 """
 
 from fractions import Fraction
+
+import numpy as np
 
 from cantornormal import ArgumentError, admissible_blocks, expected_count
 
@@ -54,3 +58,18 @@ def segment_positions(sched, upto: int) -> list[int]:
         out.extend(range(sched.level(i), min(sched.level(i) + i - 1, upto) + 1))
         i += 1
     return out
+
+
+def farey_table(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Numerators and denominators of at least the first `size` farey terms
+    (0/1, then the reduced fractions a/d with 0 < a < d by d, then a)."""
+    parts_num, parts_den = [np.zeros(1, dtype=np.int64)], [np.ones(1, dtype=np.int64)]
+    d, total = 1, 1
+    while total < size:
+        d += 1
+        a = np.arange(1, d, dtype=np.int64)
+        a = a[np.gcd(a, d) == 1]
+        parts_num.append(a)
+        parts_den.append(np.full(a.size, d, dtype=np.int64))
+        total += a.size
+    return np.concatenate(parts_num), np.concatenate(parts_den)

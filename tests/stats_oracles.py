@@ -1,10 +1,14 @@
-"""Reference counts restricted to single base windows.
+"""Array oracles for block statistics.
 
-`starred_variants` counts, exactly, the expected and observed occurrences of
-a block that fit inside one window of the construction; tests bound the full
-counts of `stats` against them.
+`array_expected_counts` sums expected counts from length-n masks and window
+products, position by position, and `array_admissible_blocks` lists the
+blocks below each start's window; tests compare the class-of-starts path of
+`stats` with them. `starred_variants` counts, exactly, the expected and
+observed occurrences of a block that fit inside one window of the
+construction; tests bound the full counts of `stats` against them.
 """
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +16,48 @@ import numpy as np
 from cantornormal import PartitionIndex
 from cantornormal.kernels import match_mask
 from cantornormal.sequences import check_position
-from cantornormal.stats import _as_block, _mass_sums, _window_masses
+from cantornormal.stats import _as_block, _check_product_width
+
+
+def _window_masses(bases: np.ndarray, block: tuple, n: int):
+    """Admissibility mask over start positions 1..n plus the window products
+    q_i * ... * q_{i+k-1}, from bases of positions 1 through at least n+k-1."""
+    _check_product_width(int(bases.max(initial=1)), len(block))
+    mask = np.ones(n, dtype=bool)
+    prods = np.ones(n, dtype=np.int64)
+    for j, d in enumerate(block):
+        span = bases[j : j + n]
+        mask &= span > d
+        prods *= span
+    return mask, prods
+
+
+def _mass_sums(mask: np.ndarray, prods: np.ndarray, checkpoints) -> list[Fraction]:
+    """Exact sums of 1/prods over the masked starts i <= n, one per n of an
+    ascending checkpoint list, accumulated in one pass."""
+    sums = []
+    total = Fraction(0)
+    lo = 0
+    for n in checkpoints:
+        values, counts = np.unique(prods[lo:n][mask[lo:n]], return_counts=True)
+        for v, c in zip(values, counts):
+            total += Fraction(int(c), int(v))
+        sums.append(total)
+        lo = n
+    return sums
+
+
+def array_expected_counts(bases: np.ndarray, block: tuple, checkpoints) -> list[Fraction]:
+    """Expected counts of `block` at each ascending checkpoint, from the bases
+    of positions 1 through at least the last checkpoint + len(block) - 1."""
+    return _mass_sums(*_window_masses(bases, block, checkpoints[-1]), checkpoints)
+
+
+def array_admissible_blocks(bases: np.ndarray, k: int, n: int) -> list[tuple]:
+    """Every length-k block below the base window of some start 1..n, in
+    lexicographic order, from the bases of positions 1 through n+k-1."""
+    windows = {tuple(bases[i : i + k].tolist()) for i in range(n)}
+    return sorted({b for w in windows for b in itertools.product(*map(range, w))})
 
 
 def window_end_positions(index: PartitionIndex, n: int) -> np.ndarray:

@@ -28,7 +28,9 @@ from cantornormal import generator
 from cantornormal.generator import run_region_digits
 from cantornormal.kernels import region_digits
 from cantornormal.sequences import floor_log, level_start
-from cantornormal.stats import _array_expected_counts, _run_expected_counts
+from cantornormal.stats import _expected_counts
+
+from stats_oracles import array_expected_counts
 
 
 def test_constant_base_at():
@@ -307,10 +309,8 @@ def test_run_expected_counts_equal_the_array_pass(seq, data):
     near = _near_run_start(seq).map(lambda t: max(1, t))
     cps = sorted(set(data.draw(st.lists(st.one_of(near, st.integers(1, 3 * 10**4)),
                                         min_size=1, max_size=5))))
-    # positions past the longest block, as in a report over mixed lengths
-    hi = cps[-1] + len(block) - 1 + data.draw(st.integers(0, 3))
-    assert (_run_expected_counts(seq.base_runs(1, hi), block, cps)
-            == _array_expected_counts(seq.bases(1, hi), block, cps))
+    hi = cps[-1] + len(block) - 1
+    assert _expected_counts(seq, block, cps) == array_expected_counts(seq.bases(1, hi), block, cps)
 
 
 @settings(max_examples=200, deadline=None)
@@ -358,9 +358,7 @@ def test_both_routes_refuse_the_same_int64_overflow():
     with pytest.raises(ArgumentError, match=re.escape(str(want.value))):
         run_region_digits(wide, 0, 2, np.empty(4, dtype=np.int64))
     with pytest.raises(ArgumentError) as want:
-        _array_expected_counts(bases, (0, 0), [3])
-    with pytest.raises(ArgumentError, match=re.escape(str(want.value))):
-        _run_expected_counts(wide.base_runs(1, 4), (0, 0), [3])
+        array_expected_counts(bases, (0, 0), [3])
     with pytest.raises(ArgumentError, match=re.escape(str(want.value))):
         expected_count(wide, (0, 0), 3)
     with pytest.raises(ArgumentError, match=re.escape(str(want.value))):

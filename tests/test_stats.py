@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from cantornormal import (
     ArgumentError,
+    BasicSequence,
     ConstantSequence,
     PeriodicSequence,
     TableSequence,
@@ -23,7 +25,12 @@ from cantornormal import (
 from cantornormal.ladder import PartitionIndex
 from cantornormal.stats import format_block
 
-from stats_oracles import starred_variants, window_end_positions
+from stats_oracles import (
+    array_admissible_blocks,
+    array_expected_counts,
+    starred_variants,
+    window_end_positions,
+)
 
 
 def brute_expected(seq, block, n):
@@ -68,6 +75,72 @@ def test_expected_count_refuses_int64_overflow():
     assert expected_count(wide, [0, 0, 0], 10) == Fraction(10, 70000**3)
     with pytest.raises(ArgumentError):
         expected_count(wide, [0, 0, 0, 0], 10)  # 70000**4 > 2**63
+
+
+@pytest.mark.parametrize("seq", [ConstantSequence(2), PeriodicSequence([2, 3])])
+def test_expected_count_of_a_digit_past_int64_is_zero(seq):
+    assert expected_count(seq, (2**64,), 5) == 0
+
+
+class HeadCycleSequence(BasicSequence):
+    """A head of bases followed by a repeating cycle; no sequence kind has
+    both a head and a cycle of more than one base."""
+
+    def __init__(self, head, cycle):
+        self.head, self.cycle = head, cycle
+
+    def to_json(self) -> dict:
+        return {"kind": "head-cycle", "head": self.head, "cycle": self.cycle}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(2, 5), max_size=8), st.lists(st.integers(2, 5), min_size=1, max_size=5),
+       st.integers(1, 3), st.data())
+def test_head_cycle_classes_equal_the_array_oracle(head, cycle, k, data):
+    # cycles may repeat a base, so several phases can share one window
+    seq = HeadCycleSequence(head, cycle)
+    h, p = len(head), len(cycle)
+    # checkpoints inside the head, through the first cycle and past it
+    cps = sorted(set(data.draw(st.lists(
+        st.one_of(st.integers(1, h + p), st.integers(h + p + 1, h + 5 * p + 20)),
+        min_size=1, max_size=4))))
+    block = tuple(data.draw(st.lists(st.integers(0, 4), min_size=k, max_size=k)))
+    want = array_expected_counts(seq.bases(1, cps[-1] + k - 1), block, cps)
+    assert [expected_count(seq, block, n) for n in cps] == want
+    rows = growth_diagnostic(seq, block, cps).rows
+    assert [r.value for r in rows] == [
+        float(e) / (n * math.log(seq.running_max(n)) / math.log(n))
+        for n, e in zip(cps, want) if n > 1
+    ]
+    for n in cps:
+        assert admissible_blocks(seq, k, n) == array_admissible_blocks(
+            seq.bases(1, n + k - 1), k, n)
+
+
+def test_growth_diagnostic_past_int64(iterated_log, p23):
+    # every pair of neighbouring bases is above (1, 1): (length - 1) pairs
+    # inside each run of constant base, one across each run boundary
+    n = 10**30
+    runs = iterated_log.base_runs(1, n + 1)
+    want = (sum(Fraction(b - a - 1, c * c) for a, b, c in runs)
+            + sum(Fraction(1, c * d) for (_, _, c), (_, _, d) in zip(runs, runs[1:])))
+    assert expected_count(iterated_log, (1, 1), n) == want
+    rows = growth_diagnostic(iterated_log, (1, 1), [100, n]).rows
+    assert rows[1].n == n
+    assert rows[1].value == float(want) / (n * math.log(iterated_log.running_max(n)) / math.log(n))
+    with pytest.raises(ArgumentError,
+                       match=r"^a length of 10{29}1 is past what an int64 array can address$"):
+        growth_diagnostic(p23, (1, 1), [100, n])
+
+
+def test_growth_diagnostic_on_a_cycle_holds_no_length_n_array():
+    tracemalloc.start()
+    try:
+        growth_diagnostic(PeriodicSequence([2, 3, 5]), (1, 1), [10**6, 10**7])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_expected_count_monotone(p23):

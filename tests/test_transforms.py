@@ -26,7 +26,12 @@ from cantornormal import (
 from cantornormal import transforms
 from cantornormal.transforms import divergence_modulus
 
-from schedule_oracles import count_threshold_predicate, log_mass_predicate, segment_positions
+from schedule_oracles import (
+    count_threshold_predicate,
+    farey_table,
+    log_mass_predicate,
+    segment_positions,
+)
 
 
 # -- clip map ---------------------------------------------------------------
@@ -103,6 +108,26 @@ def test_farey_values():
         Fraction(3, 5),
         Fraction(4, 5),
     ]
+
+
+def test_farey_terms_equal_the_table():
+    size = 10**5
+    num, den = farey_table(size)
+    n = np.arange(1, size + 1, dtype=np.int64)
+    got_num, got_den = UDSource("farey")._farey_terms(n)
+    assert got_num.tolist() == num[:size].tolist()
+    assert got_den.tolist() == den[:size].tolist()
+    # the last and first two terms of each denominator, read out of order by
+    # a fresh source, then one at a time through value
+    seams = np.flatnonzero(np.diff(den)) + 1
+    idx = np.random.default_rng(3).permutation(
+        np.unique(np.clip(np.concatenate([seams - 1, seams, seams + 1]), 0, den.size - 1)))
+    got_num, got_den = UDSource("farey")._farey_terms(idx + 1)
+    assert got_num.tolist() == num[idx].tolist()
+    assert got_den.tolist() == den[idx].tolist()
+    far = UDSource("farey")
+    assert [far.value(int(i) + 1) for i in idx[:200]] == [
+        Fraction(int(num[i]), int(den[i])) for i in idx[:200]]
 
 
 def test_ud_sources_live_in_unit_interval():
