@@ -88,16 +88,14 @@ class DigitSequence:
 
 
 def constructed_digits(seq: BasicSequence) -> DigitSequence:
-    """The cycling construction's digit stream over `seq`. A nondecreasing
-    `seq` decodes windows alone; any other reads them from the prefix, as
-    its occurrence ranks count from each region's start."""
+    """The cycling construction's digit stream over `seq`; it decodes any
+    window alone (generator.window_digits)."""
     pi = PartitionIndex(seq)
     return DigitSequence(
         seq,
         lambda n: generate_digits(seq, n),
         {"op": "construct", "seq": seq.to_json()},
-        window=(lambda lo, hi, out: window_digits(seq, pi, lo, hi, out))
-        if seq.nondecreasing else None,
+        window=lambda lo, hi, out: window_digits(seq, pi, lo, hi, out),
     )
 
 

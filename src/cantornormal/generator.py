@@ -2,11 +2,9 @@
 
 Three routes produce the same digits:
 
-* ``generate_digits`` - bulk arrays, region by region, through
-  ``window_digits``. On a nondecreasing sequence it decodes each region in
-  closed form over its runs of constant base (``run_region_digits``, the
-  fast path), which also decodes any window of positions alone; other
-  sequences go through the numpy region kernel ``kernels.region_digits``,
+* ``generate_digits`` - bulk arrays through ``window_digits``, which decodes
+  any window of positions alone, region by region, in closed form over the
+  classes of starts that share a base window (``region_decode``),
 * ``digit_stream``    - a stateful pure-Python generator walking windows in
   position order (single consumer),
 * ``digit_at``        - a direct per-position oracle that recounts earlier
@@ -22,106 +20,111 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ArgumentError, CounterSpillError, excerpt
-from .kernels import _check_key_width, region_digits
+from .kernels import _check_key_width
 from .ladder import PartitionIndex, block_from_index
 from .sequences import BasicSequence, check_position
 
 DEFAULT_SPILL_LIMIT = 10**7
+# a class with this many members in one read decodes one period of its digits and
+# copies it; the members of shorter classes are decoded one by one, in one pass
+_LONG_CLASS = 1 << 10
 
 
-def _counting_digits(out: np.ndarray, c: int, r: int, start: int = 0) -> None:
-    """Fill `out` with the big-endian r-digit base-c counting sequence
-    0, 1, 2, ... mod c**r, read from its digit `start` on and cut to
-    out.size digits."""
-    period = c**r
-    skip = start % r
-    # the sequence repeats every period * r digits, and so does `out`
-    filled = min(out.size, period * r)
-    rows = -(-(filled + skip) // r)  # at most period + 1
-    # ranks from start // r on; their last r base-c digits are those mod c**r
-    idx = np.arange(start // r, start // r + rows, dtype=np.int64)
-    table = np.empty((rows, r), dtype=np.int64)
-    for i in range(r - 1, -1, -1):
-        table[:, i] = idx % c
-        idx //= c
-    out[:filled] = table.reshape(-1)[skip : skip + filled]
-    # past the table, filled is a multiple of the period
-    while filled < out.size:
-        step = min(filled, out.size - filled)
-        out[filled : filled + step] = out[:step]
-        filled += step
+def _radix_digits(ranks: np.ndarray, radices: np.ndarray, period) -> np.ndarray:
+    """Big-endian mixed-radix digits of ranks mod period, a row per rank,
+    under one row of radices or a row per rank."""
+    places = np.cumprod(radices[..., ::-1], axis=-1)[..., ::-1] // radices
+    return (ranks % period)[:, None] // places % radices
 
 
-def run_region_digits(seq: BasicSequence, lo: int, r: int, out: np.ndarray,
-                      skip: int = 0) -> int:
-    """The digits of the region of length-r windows that starts after
-    position lo, from its position lo + skip + 1 on, for a nondecreasing
-    sequence, written into `out` (which may cut the last window); returns
-    the distinct window count of the region's windows through the last one
-    written.
+def region_decode(seq: BasicSequence, lo: int, r: int, out: np.ndarray, skip: int) -> int:
+    """Write the digits of the region of length-r windows after position lo,
+    from its position lo + skip + 1 on, into a non-empty `out`, which may cut
+    its first and last window; return the distinct window count of the
+    windows up to the last one written. Equals kernels.region_digits.
 
-    Equals region_digits on the same bases, in closed form over the runs of
-    constant base: the windows lying wholly in a run of base c share the key
-    (c, ..., c), so their occurrence ranks are 0, 1, 2, ... and their digits
-    the base-c counting sequence mod c**r. A window that straddles a run
-    boundary has a key of its own, so rank 0 and all digits 0.
+    Window j starts at lo + 1 + j*r; its digits are those of its occurrence
+    rank among the equal windows before it, mod the product of its bases. A
+    class of starts of seq.window_classes meets the window starts in window
+    indices jmin, jmin + period, ... (CRT). Classes share a window only on a
+    head/cycle sequence, as head starts, which come before the cycle, or as
+    cycle phases, whose first members lie within one period of each other.
+    So member i of a class ranks rank0 + rise * i, where rank0 counts the
+    classes with its window that start before it and rise the cycle phases
+    with its window (1 on a run), and its digits repeat every
+    product-of-bases members.
     """
-    if out.size == 0:
-        return 0
     nwin = -(-(skip + out.size) // r)  # windows 0..nwin-1 are read
-    runs = seq.base_runs(lo + 1, lo + nwin * r)
-    _check_key_width(runs[-1][2] + 1, r)
-
-    def at(j: int) -> int:  # where window j starts in `out`, clamped to it
-        return min(max(j * r - skip, 0), out.size)
-
-    distinct = done = 0  # windows before `done` are counted and written
-    for start, stop, c in runs:
-        # whole windows j: lo + 1 + j*r >= start and lo + (j + 1)*r < stop
-        first = -(-(start - lo - 1) // r)
-        end = min((stop - 1 - lo) // r, nwin)
-        if end <= first:
-            continue
-        out[at(done) : at(first)] = 0
-        if at(end) > at(first):
-            _counting_digits(out[at(first) : at(end)], c, r, max(skip - first * r, 0))
-        distinct += first - done + 1
-        done = end
-    out[at(done) :] = 0
-    return distinct + nwin - done
+    first, last, step, windows = seq.window_classes(r, lo + 1 + (nwin - 1) * r)
+    first, last, step = (np.asarray(v, dtype=np.int64) for v in (first, last, step))
+    off, gcd = first - lo - 1, np.gcd(step, r)  # window j is in: j*r = off mod step
+    period = step // gcd
+    inverse = np.zeros_like(step)  # of r / gcd mod period, one per distinct step
+    for s in set(step.tolist()):
+        inverse[step == s] = pow(r // math.gcd(s, r), -1, s // math.gcd(s, r))
+    jfirst = np.maximum(-(-off // r), 0)  # the first window from `first` on
+    jmin = jfirst + ((off // gcd) % period * inverse - jfirst) % period
+    jlast = np.minimum((last - lo - 1) // r, nwin - 1)  # the last window up to `last`
+    count = np.where(off % gcd, 0, (jlast - jmin) // period + 1)
+    keep = count > 0
+    jmin, period, count, windows = jmin[keep], period[keep], count[keep], windows[keep]
+    beta = int(windows.max()) + 1
+    _check_key_width(beta, r)
+    windows = windows.astype(np.int64)
+    keys = windows @ beta ** np.arange(r - 1, -1, -1, dtype=np.int64)  # one per window
+    prods = windows.prod(axis=1)
+    order = np.lexsort((jmin, keys))
+    rank0 = np.empty_like(jmin)
+    rank0[order] = np.arange(order.size) - np.searchsorted(keys[order], keys[order])
+    # classes of period above 1 are cycle phases; a repeating class of period 1 (a
+    # run, or a cycle's one phase in this region) is the only one with its window
+    phases = np.sort(keys[period > 1])
+    rise = np.maximum(np.searchsorted(phases, keys, "right") - np.searchsorted(phases, keys), 1)
+    # the members in the windows jlo..jhi-1, which out holds whole
+    jlo, jhi = -(-skip // r), (skip + out.size) // r
+    rows = out[jlo * r - skip : max(jhi * r - skip, 0)].reshape(-1, r)
+    i0 = np.maximum(-(-(jlo - jmin) // period), 0)
+    n = np.maximum(np.minimum(count, -(-(jhi - jmin) // period)) - i0, 0)
+    few = np.flatnonzero(n < _LONG_CLASS)
+    c = np.repeat(few, n[few])
+    i = np.arange(c.size) - np.repeat(np.cumsum(n[few]) - n[few] - i0[few], n[few])
+    rows[jmin[c] + period[c] * i - jlo] = _radix_digits(rank0[c] + rise[c] * i, windows[c],
+                                                        prods[c])
+    for c in np.flatnonzero(n >= _LONG_CLASS):  # one period decoded, then copied
+        view = rows[jmin[c] + period[c] * i0[c] - jlo :: period[c]][: n[c]]
+        filled = min(n[c], prods[c])
+        i = np.arange(i0[c], i0[c] + filled, dtype=np.int64)
+        view[:filled] = _radix_digits(rank0[c] + rise[c] * i, windows[c], prods[c])
+        while filled < view.shape[0]:
+            size = min(filled, view.shape[0] - filled)
+            view[filled : filled + size] = view[:size]
+            filled += size
+    for j in {j for j in (skip // r, nwin - 1) if not jlo <= j < jhi}:  # out cuts these
+        i = j - jmin
+        c = np.flatnonzero((i >= 0) & (i % period == 0) & (i < count * period))[0]
+        rank = int(rank0[c] + rise[c] * (i[c] // period[c])) % int(prods[c])
+        block = block_from_index(windows[c], rank + 1)
+        a, b = max(j * r, skip), min(j * r + r, skip + out.size)
+        out[a - skip : b - skip] = block[a - j * r : b - j * r]
+    return int(np.count_nonzero(rank0 == 0))  # the first class with each window
 
 
 def window_digits(seq: BasicSequence, pi: PartitionIndex, lo: int, hi: int,
                   out: np.ndarray) -> None:
     """Write the digits at positions lo + 1..hi into `out`; `pi` is the
-    ladder of `seq`.
-
-    On a nondecreasing sequence only the windows holding those positions are
-    decoded (run_region_digits). Any other sequence decodes each region from
-    its start, where its occurrence ranks start, so its cost grows with hi
-    rather than with hi - lo.
-    """
-    if hi <= lo:
-        return
-    pos, r = lo, pi.region_of(lo + 1)
+    ladder of `seq`. Only the windows holding those positions are decoded
+    (region_decode)."""
+    pos = lo
     while pos < hi:
+        r = pi.region_of(pos + 1)
         a, b = pi.region(r)
-        if b > pos:
-            end = min(b, hi)
-            part = out[pos - lo : end - lo]
-            if seq.nondecreasing:
-                distinct = run_region_digits(seq, a, r, part, pos - a)
-            else:
-                nwin = -(-(end - a) // r)
-                digits, distinct = region_digits(seq.bases(a + 1, a + nwin * r), r)
-                part[:] = digits[pos - a : end - a]
-            if distinct > DEFAULT_SPILL_LIMIT:
-                raise CounterSpillError(
-                    f"{distinct} distinct base windows in one region exceeds "
-                    f"the spill limit {DEFAULT_SPILL_LIMIT}"
-                )
-            pos = end
-        r += 1
+        distinct = region_decode(seq, a, r, out[pos - lo : min(b, hi) - lo], pos - a)
+        if distinct > DEFAULT_SPILL_LIMIT:
+            raise CounterSpillError(
+                f"{distinct} distinct base windows in one region exceeds "
+                f"the spill limit {DEFAULT_SPILL_LIMIT}"
+            )
+        pos = b
 
 
 def generate_digits(seq: BasicSequence, count: int) -> np.ndarray:

@@ -1,18 +1,15 @@
-"""Hot numeric kernels, vectorised with numpy.
+"""Hot numeric kernels, vectorised with numpy: whole arrays per step, never
+per position in Python.
 
-Three kernels carry the bulk work: decoding the cyclic block assignment of
-one region (``region_digits``), marking block occurrences (``match_mask``)
-and evaluating truncated orbit values exactly at one depth
-(``orbit_numbers``). Each works on whole arrays per step, never per
-position in Python.
-
-On nondecreasing sequences the callers skip two of them wherever the bases
-are constant: ``generator.run_region_digits`` decodes regions from the base
-runs, and the orbit block walker (``orbit._orbit_blocks``, which serves
-``orbit_values`` and the discrepancy report), whose blocks each have one
-depth, evaluates each block of one base with a scalar Horner pass.
-``region_digits`` and ``orbit_numbers`` then serve the remaining blocks and
-every other sequence kind, and stay the tests' oracle for the run routes.
+``match_mask`` marks block occurrences. ``orbit_numbers`` evaluates
+truncated orbit values exactly at one depth; the orbit block walker
+(``orbit._orbit_blocks``) evaluates a block of one base of a nondecreasing
+sequence with a scalar Horner pass instead, and ``orbit_numbers`` stays the
+tests' oracle for that route. ``region_digits`` decodes the cyclic block
+assignment of one region by sorting every window key; the package decodes
+in closed form over the classes of starts that share a window
+(``generator.region_decode``), and ``region_digits`` stays the tests' oracle
+for that decode.
 
 All kernels work on int64 arrays and are guarded against overflow by the
 callers (window-key width and orbit denominators are checked in Python

@@ -87,7 +87,8 @@ def _orbit_blocks(E, count: int, depth: int | None, cuts=()):
     # the default depth can only step up just past a region boundary
     steps = [] if depth is not None else [b + 1 for b in pi.boundaries_through(count)
                                           if b + 1 < count and depth_at(b + 1) > depth_at(b)]
-    acc = np.empty(min(_ORBIT_CHUNK, count), dtype=np.int64)  # run-route numerators
+    # run-route numerators; only a nondecreasing sequence takes the run route
+    acc = np.empty(min(_ORBIT_CHUNK, count) if seq.nondecreasing else 0, dtype=np.int64)
     # buf[:read - start] holds the digits at positions start + 1..read
     buf, start, read, lo = np.empty(0, dtype=np.int64), 0, 0, 0
     for hi in heapq.merge(range(_ORBIT_CHUNK, count, _ORBIT_CHUNK), steps,
@@ -97,11 +98,11 @@ def _orbit_blocks(E, count: int, depth: int | None, cuts=()):
         d = depth_at(lo)
         top = hi - 1 + d
         # positions lo + 1..top: the previous block's lo + 1..read, then fresh ones
-        keep = buf[lo - start : read - start]
-        if buf.size < top - lo:
-            buf = np.concatenate((keep, np.empty(top - read, dtype=np.int64)))
+        if buf.size < top - lo:  # no name keeps a view of the outgrown buffer
+            buf = np.concatenate((buf[lo - start : read - start],
+                                  np.empty(top - read, dtype=np.int64)))
         else:
-            buf[: keep.size] = keep
+            buf[: read - lo] = buf[lo - start : read - start]
         E.window(read, top, buf[read - lo : top - lo])
         digits, start, read = buf[: top - lo], lo, top
         c = _run_base(seq, lo + 1, top, d)

@@ -15,9 +15,12 @@ from hypothesis import given, settings, strategies as st
 
 from cantornormal import (
     ArgumentError,
+    ConstantSequence,
     InsufficientDigitsError,
     PartitionIndex,
+    PeriodicSequence,
     PointwiseSequence,
+    TableSequence,
     build_half_range,
     build_orbit_sink,
     build_patched_uniform,
@@ -26,13 +29,15 @@ from cantornormal import (
     parse_sequence_spec,
 )
 from cantornormal import transforms
-from cantornormal.generator import _counting_digits
+from cantornormal.generator import region_decode
+from cantornormal.kernels import region_digits
 
 TOP = 3 * transforms._PREFIX_CHUNK + 2000  # past three chunk seams of the schedule
 
 LOG = parse_sequence_spec("preset:log")
 ITERATED = parse_sequence_spec("preset:iterated-log")
 PERIODIC = parse_sequence_spec("periodic:2,3,5")
+TABLE = TableSequence([3, 3, 2, 3, 3, 3])  # head windows that share the cycle's window
 FINITE_SEQ = parse_sequence_spec("periodic:2,7")
 _FINITE_DIGITS = np.random.default_rng(5).integers(0, FINITE_SEQ.bases(1, TOP))
 
@@ -40,6 +45,7 @@ BUILDERS = {
     "xq-nondecreasing": lambda: constructed_digits(LOG),
     "xq-iterated-log": lambda: constructed_digits(ITERATED),
     "xq-head-cycle": lambda: constructed_digits(PERIODIC),
+    "xq-table": lambda: constructed_digits(TABLE),
     "nq-not-dnq": lambda: build_orbit_sink(LOG),
     "rnq-not-nq": lambda: build_half_range(ITERATED),
     "rnq-dnq-not-nq": lambda: build_patched_uniform(LOG),
@@ -58,7 +64,7 @@ def _twin_prefix(kind: str) -> np.ndarray:
 def _seams() -> list[int]:
     """Positions where some stream's decode changes course, up to TOP."""
     seams = set(range(0, TOP, transforms._PREFIX_CHUNK))
-    for seq in (LOG, ITERATED, PERIODIC, PointwiseSequence(ITERATED, "half-of")):
+    for seq in (LOG, ITERATED, PERIODIC, TABLE, PointwiseSequence(ITERATED, "half-of")):
         seams.update(PartitionIndex(seq).boundaries_through(TOP))
         if seq.nondecreasing:
             seams.update(seq.first_position(c) - 1 for c in range(3, seq.base_at(TOP) + 1))
@@ -86,7 +92,7 @@ def test_window_equals_the_prefix_slice(kind, data):
         out = np.full(hi - lo, -1, dtype=np.int64)
         assert E.window(lo, hi, out) is out
         assert out.tolist() == want[lo:hi].tolist()
-    if kind not in ("xq-head-cycle", "finite"):  # these read windows from the prefix
+    if kind != "finite":  # a finite list reads its windows from its prefix
         assert E._buf.size == 0
 
 
@@ -123,12 +129,20 @@ def _counting_table(c: int, r: int, size: int) -> list[int]:
 @settings(max_examples=200, deadline=None)
 @given(st.integers(2, 5), st.integers(1, 4), st.data())
 def test_counting_digits_from_any_start_slice_the_rank_0_table(c, r, data):
+    # every window is (c, ..., c), so window j of a region has rank j: one
+    # class, cycle phases that share the window, or head starts and a cycle
+    seq = data.draw(st.sampled_from([ConstantSequence(c), PeriodicSequence([c] * 3),
+                                     TableSequence([c] * 7)]))
+    lo = data.draw(st.integers(0, 40))
     period = c**r * r
     start = data.draw(st.one_of(st.integers(0, 3 * period),
                                 st.integers(0, 3 * c**r).map(lambda k: k * r),  # a rank
                                 st.integers(0, 2**40)))
-    size = data.draw(st.integers(0, 3 * period + 5))
+    size = data.draw(st.integers(1, 3 * period + 5))
     out = np.full(size, -1, dtype=np.int64)
-    _counting_digits(out, c, r, start)
+    region_decode(seq, lo, r, out, start)
     want = _counting_table(c, r, start % period + size)[start % period:]
     assert out.tolist() == want
+    if start <= 3 * period:  # the region kernel, from the region's start
+        kernel, _ = region_digits(seq.bases(lo + 1, lo + -(-(start + size) // r) * r), r)
+        assert kernel[start:start + size].tolist() == want

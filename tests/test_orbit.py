@@ -365,9 +365,12 @@ def test_counted_report_memory_does_not_grow_with_the_sample(seq, depth):
     assert peak < 8 * 2**20
 
 
-def test_report_reads_digits_a_block_at_a_time():
+@pytest.mark.parametrize("seq", [PresetSequence("iterated-log"), PeriodicSequence([2, 3, 5]),
+                                 TableSequence([3, 3, 2, 3, 3, 3])],
+                         ids=["iterated-log", "periodic", "table"])
+def test_report_reads_digits_a_block_at_a_time(seq):
     count = 2 * 10**6
-    E = constructed_digits(PresetSequence("iterated-log"))  # no digit read yet
+    E = constructed_digits(seq)  # no digit read yet
     tracemalloc.start()
     try:
         orbit_discrepancy_report(E, [1000, count])
