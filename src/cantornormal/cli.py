@@ -19,6 +19,9 @@ from collections.abc import Iterable, Iterator
 from decimal import Decimal
 from pathlib import Path
 
+# nothing here calls BLAS: skip OpenBLAS's start-up worker pool unless the user set a size
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from . import __version__

@@ -114,7 +114,9 @@ def orbit_numbers(digits: np.ndarray, bases: np.ndarray, depth: int):
         raise ArgumentError(f"orbit evaluation needs {max(depth, digits.size)} digits/bases")
     count = digits.size - depth + 1
     csum = np.concatenate(([0.0], np.cumsum(np.log2(bases[: digits.size].astype(np.float64)))))
-    if (csum[depth:] - csum[:count]).max() > 61.5:
+    too_wide = (csum[depth:] - csum[:count]).max() > 61.5
+    del csum  # freed before the outputs are allocated
+    if too_wide:
         raise ArgumentError("truncation depth too large for int64 denominators")
     digits = np.ascontiguousarray(digits, dtype=np.int64)
     bases = np.ascontiguousarray(bases, dtype=np.int64)

@@ -551,6 +551,32 @@ def test_closed_pipe_exits_0_quietly(tmp_path, count, lines_read):
     assert json.loads(m.read_text())["output_sha256"] == hashlib.sha256(whole).hexdigest()
 
 
+def _child_env(**blas):
+    """This environment without OPENBLAS_NUM_THREADS, plus `blas`, for a child on src/."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    return env | blas
+
+
+@pytest.mark.parametrize("blas, seen", [({}, "1"), ({"OPENBLAS_NUM_THREADS": "3"}, "3")])
+def test_entry_point_defaults_blas_to_one_thread(blas, seen):
+    code = "import os, cantornormal.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          env=_child_env(**blas), timeout=60)
+    assert (proc.returncode, proc.stdout.decode().strip()) == (0, seen), proc.stderr.decode()
+
+
+@pytest.mark.parametrize("argv", [
+    ("digits", "--seq", PERIODIC_WIDE, "--count", "3000", "--format", "csv"),
+    ("discrepancy", "--seq", "preset:iterated-log", "--checkpoints", "100,10000"),
+])
+def test_output_does_not_depend_on_blas_threads(argv):
+    outs = [subprocess.run([sys.executable, "-m", "cantornormal.cli", *argv], capture_output=True,
+                           env=_child_env(**blas), timeout=60, check=True).stdout
+            for blas in ({}, {"OPENBLAS_NUM_THREADS": "2"})]
+    assert outs[0] and outs[0] == outs[1]
+
+
 def test_construct_manifest_records_graph_and_clamps(capsys, tmp_path):
     m = tmp_path / "m.json"
     code, _, _ = run_cli(capsys, "construct", "--seq", "preset:log", "--target",

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -142,6 +144,21 @@ def test_orbit_numbers_depth_guard():
     for d, b, depth in ((digits[:29], bases, 30), (digits, bases[:99], 3), (digits, bases, 0)):
         with pytest.raises(ArgumentError, match="needs|must be >= 1"):
             orbit_numbers(d, b, depth)
+
+
+def test_orbit_numbers_peak_is_its_outputs():
+    size, depth = 2**16, 8
+    rng = np.random.default_rng(8)
+    bases = rng.integers(2, 9, size=size + depth)
+    digits = rng.integers(0, bases)
+    tracemalloc.start()
+    try:
+        num, den = orbit_numbers(digits, bases, depth)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the width check's log2 sums are freed before the outputs are allocated
+    assert peak <= 1.2 * (num.nbytes + den.nbytes)
 
 
 @pytest.mark.parametrize(
