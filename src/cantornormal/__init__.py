@@ -47,7 +47,6 @@ _EXPORTS = {
     ),
     "stats": (
         "ConvergenceReport",
-        "admissible",
         "admissible_blocks",
         "count_block_checkpoints",
         "expected_count",

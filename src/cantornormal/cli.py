@@ -262,7 +262,7 @@ def _cmd_construct(args) -> None:
     seq = parse_sequence_spec(args.seq)
     E = _build_target(args.target, seq, args)
     digits = E.prefix(args.count)
-    clamp_events = getattr(getattr(E, "schedule", None), "clamps", None)
+    schedule = getattr(E, "schedule", None)
     params = {
         "count": args.count,
         "format": args.format,
@@ -270,8 +270,8 @@ def _cmd_construct(args) -> None:
         "log_base": args.log_base,
         "graph": E.description,
     }
-    if clamp_events is not None:
-        params["clamp_events"] = clamp_events.events
+    if schedule is not None:
+        params["clamp_events"] = schedule.clamp_events
     _emit(args, _format_digit_output(args, seq, digits), params)
 
 

@@ -63,15 +63,16 @@ def _orbit_blocks(E, count: int, depth: int | None, cuts=()):
     The indices go in blocks of _ORBIT_CHUNK, also cut at each index where
     the default depth steps up and at each of the ascending `cuts`, so every
     block has one depth d. Each block reads the digits at positions
-    lo + 1..hi - 1 + d through `E.window`, carrying the d - 1 it shares with
-    the next block, so every position is read once and no array grows with
-    count. On a nondecreasing sequence a block whose points read one base c
-    throughout, with c**d <= 2**61, takes the run route: one scalar Horner
-    pass over digit slices in a reused int64 buffer (so `num` is valid only
-    until the next block), over the constant denominator den = float(c**d).
-    Every other block goes to `kernels.orbit_numbers`, whose span check alone
-    refuses denominators past int64, and den is its int64 array; both routes
-    give the same bits."""
+    lo + 1..hi - 1 + d through `E.window` into one buffer, sized once for
+    the widest block at the last depth, and moves the d - 1 it shares with
+    the next block to the buffer's front, so every position is read once and
+    no array grows with count. On a nondecreasing sequence a block whose
+    points read one base c throughout, with c**d <= 2**61, takes the run
+    route: one scalar Horner pass over digit slices in a reused int64 buffer
+    (so `num` is valid only until the next block), over the constant
+    denominator den = float(c**d). Every other block goes to
+    `kernels.orbit_numbers`, whose span check alone refuses denominators past
+    int64, and den is its int64 array; both routes give the same bits."""
     if depth is not None and depth < 1:
         raise ArgumentError(f"truncation depth must be >= 1, got {excerpt(depth)}")
     seq = E.seq
@@ -89,22 +90,17 @@ def _orbit_blocks(E, count: int, depth: int | None, cuts=()):
                                           if b + 1 < count and depth_at(b + 1) > depth_at(b)]
     # run-route numerators; only a nondecreasing sequence takes the run route
     acc = np.empty(min(_ORBIT_CHUNK, count) if seq.nondecreasing else 0, dtype=np.int64)
-    # buf[:read - start] holds the digits at positions start + 1..read
-    buf, start, read, lo = np.empty(0, dtype=np.int64), 0, 0, 0
+    # buf[:read - lo] holds the digits at positions lo + 1..read
+    buf = np.empty(min(_ORBIT_CHUNK, count) - 1 + depth_at(count - 1), dtype=np.int64)
+    read = lo = 0
     for hi in heapq.merge(range(_ORBIT_CHUNK, count, _ORBIT_CHUNK), steps,
                           (m for m in cuts if 0 < m < count), [count]):
         if hi == lo:
             continue
         d = depth_at(lo)
         top = hi - 1 + d
-        # positions lo + 1..top: the previous block's lo + 1..read, then fresh ones
-        if buf.size < top - lo:  # no name keeps a view of the outgrown buffer
-            buf = np.concatenate((buf[lo - start : read - start],
-                                  np.empty(top - read, dtype=np.int64)))
-        else:
-            buf[: read - lo] = buf[lo - start : read - start]
         E.window(read, top, buf[read - lo : top - lo])
-        digits, start, read = buf[: top - lo], lo, top
+        digits = buf[: top - lo]
         c = _run_base(seq, lo + 1, top, d)
         if c is not None:
             num, den = acc[: hi - lo], float(c**d)
@@ -115,7 +111,9 @@ def _orbit_blocks(E, count: int, depth: int | None, cuts=()):
         else:
             num, den = orbit_numbers(digits, seq.bases(lo + 1, top), d)
         yield lo, hi, num, den
-        lo = hi
+        # the next block's positions hi + 1..top are read already
+        buf[: top - hi] = buf[hi - lo : top - lo]
+        lo, read = hi, top
 
 
 def _run_base(seq: BasicSequence, first: int, last: int, d: int) -> int | None:

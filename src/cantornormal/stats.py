@@ -1,4 +1,4 @@
-"""Block statistics: admissibility, expected and observed counts, reports.
+"""Block statistics: admissible blocks, expected and observed counts, reports.
 
 Expected counts are exact rationals throughout; floats only appear in the
 final ratio columns of reports.
@@ -25,16 +25,6 @@ def _as_block(block) -> tuple:
     if any(d < 0 for d in b):
         raise ArgumentError(f"block digits must be non-negative, got {excerpt(b)}")
     return b
-
-
-def admissible(seq: BasicSequence, block, i: int) -> int:
-    """1 if `block` can occur starting at position i, else 0."""
-    b = _as_block(block)
-    check_position(i)
-    for j, d in enumerate(b):
-        if d >= seq.base_at(i + j):
-            return 0
-    return 1
 
 
 def _check_product_width(top: int, k: int) -> None:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import logging
 import math
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .sequences import (
     ceil_log,
     check_position,
 )
-from .stats import admissible, admissible_blocks, expected_count
+from .stats import _expected_counts, admissible_blocks, expected_count
 
 log = logging.getLogger("cantornormal")
 
@@ -43,17 +44,6 @@ DEFAULT_SCAN_LIMIT = 10**6
 # positions per array pass of Schedule.prefix: keeps its temporaries at a
 # few MB however long the prefix
 _PREFIX_CHUNK = 1 << 15
-
-
-class ClampCounter:
-    """Counts digits that had to be clamped into range; zero in a clean run."""
-
-    def __init__(self):
-        self.events = 0
-
-    def add(self, where: str) -> None:
-        self.events += 1
-        log.warning("clamped digit at %s", where)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +228,8 @@ class Schedule:
         self.donor_digits = constructed_digits(self.donor)
         self.ud = ud or UDSource("vdc")
         self.log_base = log_base
-        self.clamps = ClampCounter()
+        # digits that had to be clamped into range; zero in a clean run
+        self.clamp_events = 0
         self._levels = [0]
         self._level_terms: dict[int, dict] = {}
 
@@ -268,31 +259,35 @@ class Schedule:
     # -- expected-count threshold -------------------------------------------
 
     def count_threshold(self, n: int, k: int) -> int:
+        """Least position j at which every length-k block admissible in the
+        target's first n starts has its goal, n times its target expected
+        count at n, below the donor's expected counts at start counts
+        1..j - k + 1 summed. The sums only grow, so each block's first
+        passing start count is found by doubling the start counts read, and
+        j is the largest of them plus k - 1."""
         if not 1 <= k <= n:
             raise ArgumentError(f"block length {k} must lie in 1..{n}")
         # never empty: every base is >= 2, so the all-zero block is admissible
         blocks = admissible_blocks(self.target, k, n)
         goals = {b: n * expected_count(self.target, b, n) for b in blocks}
-        running = {b: Fraction(0) for b in blocks}  # donor count at i-k+1
-        acc = {b: Fraction(0) for b in blocks}
-        pending = set(blocks)
-        j = 0
-        while pending:
-            j += 1
-            if j > DEFAULT_SCAN_LIMIT:
+        cap = DEFAULT_SCAN_LIMIT - k + 1  # the most start counts a threshold within the limit sums
+        best = 0
+        for b, goal in goals.items():
+            # a block passing within the start counts found so far moves nothing
+            top = max(best, 1)
+            while True:
+                sums = accumulate(_expected_counts(self.donor, b, range(1, top + 1)))
+                m = next((m for m, acc in enumerate(sums, 1) if goal < acc), None)
+                if m is not None or top >= cap:
+                    break
+                top = min(2 * top, cap)
+            if m is None or m > cap:
                 raise ScanBoundError(
                     f"expected-count threshold for step {n}, length {k} not "
                     f"found within {DEFAULT_SCAN_LIMIT} positions"
                 )
-            m = j - k + 1
-            if m >= 1:
-                for b in blocks:
-                    if admissible(self.donor, b, m):
-                        den = math.prod(self.donor.base_at(m + t) for t in range(k))
-                        running[b] += Fraction(1, den)
-                    acc[b] += running[b]
-            pending = {b for b in pending if not goals[b] < acc[b]}
-        return j
+            best = max(best, m)
+        return best + k - 1
 
     # -- the schedule ladder ----------------------------------------------
 
@@ -340,9 +335,13 @@ class Schedule:
             floor_term = ceil_log(i, self.log_base) if i >= 1 else 0
             d = max(lead, floor_term)
         if d > q - 1:
-            self.clamps.add(f"position {n}")
+            self._clamp(n)
             d = q - 1
         return d
+
+    def _clamp(self, n: int) -> None:
+        self.clamp_events += 1
+        log.warning("clamped digit at position %d", n)
 
     def prefix(self, count: int) -> np.ndarray:
         """Digits 1..count, equal to digit(n) for each n."""
@@ -384,7 +383,7 @@ class Schedule:
             d = np.maximum(self.ud.leads(n, q), floors[seg])
             d[in_donor] = donor[offset[in_donor]]
             for i in np.flatnonzero(d > q - 1).tolist():
-                self.clamps.add(f"position {lo + i}")
+                self._clamp(lo + i)
             out[lo - 1 - first : hi - first] = np.minimum(d, q - 1)
 
 

@@ -34,9 +34,6 @@ class CertifiedInterval:
     def width(self) -> Fraction:
         return self.upper - self.lower
 
-    def __contains__(self, x) -> bool:
-        return self.lower <= x <= self.upper
-
 
 def prefix_value(seq: BasicSequence, digits) -> CertifiedInterval:
     """The interval pinned down by an explicit digit prefix."""

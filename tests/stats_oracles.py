@@ -1,5 +1,6 @@
 """Array oracles for block statistics.
 
+`admissible` checks one block at one start position against its bases.
 `array_expected_counts` sums expected counts from length-n masks and window
 products, position by position, and `array_admissible_blocks` lists the
 blocks below each start's window; tests compare the class-of-starts path of
@@ -17,6 +18,13 @@ from cantornormal import PartitionIndex
 from cantornormal.kernels import match_mask
 from cantornormal.sequences import check_position
 from cantornormal.stats import _as_block, _check_product_width
+
+
+def admissible(seq, block, i: int) -> int:
+    """1 if `block` can occur starting at position i, else 0."""
+    b = _as_block(block)
+    check_position(i)
+    return int(all(d < seq.base_at(i + j) for j, d in enumerate(b)))
 
 
 def _window_masses(bases: np.ndarray, block: tuple, n: int):

@@ -275,13 +275,13 @@ def test_criterion_09_schedule(log_preset):
     disc = [star_discrepancy(scaled[:n]) for n in (10**2, 10**3, 10**4)]
     ok &= disc[0] > disc[1] > disc[2]
     # digits in range with zero clamp events
-    ok &= bool((digits <= q - 1).all()) and sched.clamps.events == 0
+    ok &= bool((digits <= q - 1).all()) and sched.clamp_events == 0
     _report(
         9,
         "patched uniform schedule",
         ok,
         f"density {density[0]:.3f}>{density[1]:.4f}>{density[2]:.5f}; "
-        f"D* {disc[0]:.3f}>{disc[1]:.3f}>{disc[2]:.3f}; clamps = {sched.clamps.events}",
+        f"D* {disc[0]:.3f}>{disc[1]:.3f}>{disc[2]:.3f}; clamps = {sched.clamp_events}",
     )
 
 

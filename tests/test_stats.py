@@ -13,7 +13,6 @@ from cantornormal import (
     ConstantSequence,
     PeriodicSequence,
     TableSequence,
-    admissible,
     admissible_blocks,
     constructed_digits,
     count_block_checkpoints,
@@ -26,6 +25,7 @@ from cantornormal.ladder import PartitionIndex
 from cantornormal.stats import format_block
 
 from stats_oracles import (
+    admissible,
     array_admissible_blocks,
     array_expected_counts,
     starred_variants,

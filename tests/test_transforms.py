@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from fractions import Fraction
 
@@ -238,6 +239,32 @@ def test_count_threshold_certificate(log_preset):
         assert t == 1 or not count_threshold_predicate(s, n, k, t - 1)
 
 
+@pytest.mark.parametrize(
+    "target",
+    [ConstantSequence(3), ConstantSequence(4), PeriodicSequence([2, 3]),
+     PresetSequence("log"), PresetSequence("iterated-log"), IndexLogSequence()],
+    ids=lambda seq: seq.spec_string(),
+)
+def test_count_threshold_is_least_passing_position(monkeypatch, target):
+    # the threshold is the least j at which the predicate holds, and a scan
+    # limit below that j, even one below the block length, is refused
+    s = Schedule(target)
+    for n in range(1, 4):
+        for k in range(1, n + 1):
+            j = next(j for j in itertools.count(1) if count_threshold_predicate(s, n, k, j))
+            assert s.count_threshold(n, k) == j
+            for limit in sorted({0, k - 1, k, j - 1, j}):
+                monkeypatch.setattr(transforms, "DEFAULT_SCAN_LIMIT", limit)
+                if j <= limit:
+                    assert s.count_threshold(n, k) == j
+                    continue
+                with pytest.raises(ScanBoundError) as info:
+                    s.count_threshold(n, k)
+                assert str(info.value) == (f"expected-count threshold for step {n}, "
+                                           f"length {k} not found within {limit} positions")
+            monkeypatch.undo()
+
+
 def test_schedule_ladder_log_preset(log_preset):
     s = Schedule(log_preset)
     assert [s.level(n) for n in (1, 2, 3)] == [4, 252, 2097148]
@@ -263,7 +290,7 @@ def test_schedule_segments_and_digits(log_preset):
     assert d[251] == donor_prefix[0] and d[252] == donor_prefix[1]
     q = log_preset.bases(1, 300)
     assert (d <= q - 1).all()
-    assert s.clamps.events == 0
+    assert s.clamp_events == 0
 
 
 def test_schedule_floor_term(log_preset):
@@ -335,7 +362,7 @@ def test_modulus_runtime_checks(monkeypatch):
 def test_patched_stream_wiring(log_preset):
     x = build_patched_uniform(log_preset)
     d = x.prefix(400)
-    assert x.schedule.clamps.events == 0
+    assert x.schedule.clamp_events == 0
     assert d.min() >= 0
     assert x.description["op"] == "schedule-patch"
     with pytest.raises(ArgumentError):
@@ -391,7 +418,7 @@ def test_schedule_prefix_matches_digit(caplog, target, kind, gaps, count, chunk)
         want = [oracle.digit(n) for n in range(1, count + 1)]
         oracle_log = [r.getMessage() for r in caplog.records]
     assert got == want
-    assert bulk.clamps.events == oracle.clamps.events == len(oracle_log)
+    assert bulk.clamp_events == oracle.clamp_events == len(oracle_log)
     assert bulk_log == oracle_log
 
 
@@ -406,7 +433,7 @@ def test_schedule_prefix_clamps_in_order(caplog):
         caplog.clear()
         oracle = _FixedLevels(PresetSequence("iterated-log"), levels)
         [oracle.digit(n) for n in range(1, 401)]
-    assert s.clamps.events == oracle.clamps.events > 40
+    assert s.clamp_events == oracle.clamp_events > 40
     assert bulk_log == [r.getMessage() for r in caplog.records]
     assert bulk_log[0] == "clamped digit at position 18"
 
@@ -423,7 +450,7 @@ def test_schedule_prefix_clamps_before_a_failing_level(caplog):
         oracle = _FixedLevels(PresetSequence("iterated-log"), levels)
         with pytest.raises(ScanBoundError, match="no level 40"):
             [oracle.digit(n) for n in range(1, 401)]
-    assert s.clamps.events == oracle.clamps.events > 20
+    assert s.clamp_events == oracle.clamp_events > 20
     assert bulk_log == [r.getMessage() for r in caplog.records]
     assert bulk_log[-1] == "clamped digit at position 194"
 
