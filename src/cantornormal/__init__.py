@@ -13,6 +13,10 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
+# the kinds of transforms.UDSource, kept here so that the CLI can offer them
+# as --ud choices without loading numpy
+UD_KINDS = ("vdc", "farey")
+
 # defining module -> the names the package exports from it
 _EXPORTS = {
     "digitseq": ("DigitSequence", "constructed_digits", "finite_digits"),

@@ -11,47 +11,27 @@ the same inputs reproduces the bytes and therefore the digest.
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
+import gc
 import os
 import sys
-from collections.abc import Iterable, Iterator
-from decimal import Decimal
-from pathlib import Path
 
 # nothing here calls BLAS: skip OpenBLAS's start-up worker pool unless the user set a size
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-import numpy as np
-
-from . import __version__
-from .digitseq import DigitSequence, constructed_digits, finite_digits
+# Each subcommand imports the modules it runs, so `--version`, `--help` and
+# usage errors load no numpy, and `digits` loads no stats, orbit, transforms
+# or values: with no cached bytecode, every module loaded is also compiled.
+from . import UD_KINDS, __version__
 from .errors import ArgumentError, CantorSeriesError, excerpt
-from .generator import digit_at
-from .ladder import PartitionIndex
-from .orbit import orbit_discrepancy_report
-from .sequences import BasicSequence, parse_sequence_spec, read_text
-from .stats import (
-    admissible_blocks,
-    check_pair_count,
-    growth_diagnostic,
-    normality_report,
-    parse_block,
-)
-from .transforms import (
-    UDSource,
-    build_orbit_sink,
-    build_patched_uniform,
-    build_half_range,
-)
-from .values import format_digits, prefix_value, to_base_b
 
 TARGETS = ("xq", "nq-not-dnq", "rnq-not-nq", "rnq-dnq-not-nq")
 
 
-def _build_target(name: str, seq: BasicSequence, args) -> DigitSequence:
+def _build_target(name: str, seq, args):
     if name == "xq":
+        from .digitseq import constructed_digits
         return constructed_digits(seq)
+    from .transforms import UDSource, build_half_range, build_orbit_sink, build_patched_uniform
     if name == "nq-not-dnq":
         return build_orbit_sink(seq, log_base=args.log_base)
     if name == "rnq-not-nq":
@@ -62,8 +42,10 @@ def _build_target(name: str, seq: BasicSequence, args) -> DigitSequence:
     raise ArgumentError(f"unknown target {name!r}; expected one of {TARGETS}")
 
 
-def _json_field(path: Path, key: str, kind: type):
+def _json_field(path, key: str, kind: type):
     """The `key` entry of the JSON object in `path`, which must be a `kind`."""
+    import json
+    from .sequences import read_text
     try:
         # ValueError also covers integers past Python's int-parsing digit limit
         data = json.loads(read_text(path))
@@ -77,7 +59,9 @@ def _json_field(path: Path, key: str, kind: type):
     return value
 
 
-def _load_digit_file(seq: BasicSequence, path: Path) -> DigitSequence:
+def _load_digit_file(seq, path):
+    from .digitseq import finite_digits
+    from .sequences import read_text
     if path.suffix == ".json":
         digits = _json_field(path, "digits", list)
         if not all(type(d) is int for d in digits):
@@ -97,12 +81,13 @@ def _load_digit_file(seq: BasicSequence, path: Path) -> DigitSequence:
     return finite_digits(seq, digits)
 
 
-def _resolve_source(args, seq: BasicSequence) -> DigitSequence:
+def _resolve_source(args, seq):
     source = args.source
     if source == "construct":
         return _build_target(args.target, seq, args)
     head, _, rest = source.partition(":")
     if head == "file":
+        from pathlib import Path
         return _load_digit_file(seq, Path(rest))
     raise ArgumentError(f"bad source {excerpt(source)}; expected construct or file:path")
 
@@ -117,7 +102,8 @@ def _parse_checkpoints(text: str) -> list[int]:
     return cps
 
 
-def _parse_blocks(text: str, seq: BasicSequence, horizon: int) -> list[tuple]:
+def _parse_blocks(text: str, seq, horizon: int) -> list[tuple]:
+    from .stats import admissible_blocks, parse_block
     if text.startswith("all:"):
         k = int(text.split(":", 1)[1])
         return admissible_blocks(seq, k, horizon)
@@ -136,14 +122,17 @@ def _parse_depth(text: str) -> int | None:
     raise ArgumentError(f"bad depth {excerpt(text)}; expected fixed:<d> or default")
 
 
-def _emit(args, chunks: Iterable[bytes], manifest_params: dict) -> None:
+def _emit(args, chunks, manifest_params: dict) -> None:
     """Write `chunks` to stdout's byte stream; with --manifest, record their digest.
 
     A reader that closes the pipe early (`| head`) ends the writing but not
     the digest, and the run still exits 0.
     """
     chunks = iter(chunks)
-    digest = hashlib.sha256() if args.manifest else None
+    digest = None
+    if args.manifest:
+        import hashlib
+        digest = hashlib.sha256()
     try:
         sys.stdout.flush()
         for chunk in chunks:
@@ -160,6 +149,7 @@ def _emit(args, chunks: Iterable[bytes], manifest_params: dict) -> None:
             for chunk in chunks:
                 digest.update(chunk)
     if digest is not None:
+        import json
         manifest = {
             "subcommand": args.command,
             "seq": args.seq,
@@ -169,7 +159,8 @@ def _emit(args, chunks: Iterable[bytes], manifest_params: dict) -> None:
             "output_sha256": digest.hexdigest(),
         }
         try:
-            Path(args.manifest).write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+            with open(args.manifest, "w") as fh:
+                fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
         except OSError as exc:
             raise ArgumentError(
                 f"cannot write the manifest to {excerpt(args.manifest)}: {exc.strerror}"
@@ -183,7 +174,7 @@ def _csv(rows) -> str:
 _EMIT_ROWS = 2**16  # rows formatted, written and hashed as one chunk
 
 
-def _int_rows(*columns: np.ndarray) -> bytes:
+def _int_rows(*columns) -> bytes:
     """Newline-terminated rows of comma-separated non-negative int64 columns.
 
     The bytes are those `_csv` writes for the same rows. Each column is
@@ -191,6 +182,7 @@ def _int_rows(*columns: np.ndarray) -> bytes:
     place at a time; one boolean compaction then drops each cell's leading
     pad, unless every cell of each column has that column's full width.
     """
+    import numpy as np
     if not columns[0].size:
         return b""
     highs = [int(c.max()) for c in columns]
@@ -222,8 +214,10 @@ def _int_rows(*columns: np.ndarray) -> bytes:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_digits(args) -> None:
-    seq = parse_sequence_spec(args.seq)
+def _cmd_digits(args, seq) -> None:
+    from .digitseq import constructed_digits
+    from .generator import digit_at
+    from .ladder import PartitionIndex
     E = constructed_digits(seq)
     if args.oracle_check < 0:
         raise ArgumentError(f"--oracle-check must be >= 0, got {excerpt(args.oracle_check)}")
@@ -241,9 +235,10 @@ def _cmd_digits(args) -> None:
           {"count": args.count, "format": args.format, "oracle_check": args.oracle_check})
 
 
-def _format_digit_output(args, seq: BasicSequence, digits: np.ndarray) -> Iterator[bytes]:
+def _format_digit_output(args, seq, digits):
     """The `digits`/`construct` body, `_EMIT_ROWS` digits at a time: raw or CSV
     rows, or the list of a sorted-key JSON object {"digits": [...], "seq": ...}."""
+    import numpy as np
     if args.format == "json":
         yield b'{"digits": ['
     for lo in range(0, digits.size, _EMIT_ROWS):
@@ -255,11 +250,11 @@ def _format_digit_output(args, seq: BasicSequence, digits: np.ndarray) -> Iterat
         else:
             yield _int_rows(rows)
     if args.format == "json":
+        import json
         yield f'], "seq": {json.dumps(seq.to_json(), sort_keys=True)}}}\n'.encode()
 
 
-def _cmd_construct(args) -> None:
-    seq = parse_sequence_spec(args.seq)
+def _cmd_construct(args, seq) -> None:
     E = _build_target(args.target, seq, args)
     digits = E.prefix(args.count)
     schedule = getattr(E, "schedule", None)
@@ -278,14 +273,15 @@ def _cmd_construct(args) -> None:
 def _write_report(args, report, params: dict) -> None:
     """Write a report as its JSON object or as its CSV rows, per --format."""
     if args.format == "json":
+        import json
         body = json.dumps(report.to_json(), sort_keys=True) + "\n"
     else:
         body = _csv(report.csv_rows())
     _emit(args, [body.encode()], params)
 
 
-def _cmd_stats(args) -> None:
-    seq = parse_sequence_spec(args.seq)
+def _cmd_stats(args, seq) -> None:
+    from .stats import check_pair_count, normality_report
     E = _resolve_source(args, seq)
     cps = _parse_checkpoints(args.checkpoints)
     blocks = _parse_blocks(args.blocks, seq, max(cps))
@@ -295,19 +291,20 @@ def _cmd_stats(args) -> None:
                   {"blocks": args.blocks, "checkpoints": cps})
 
 
-def _cmd_discrepancy(args) -> None:
-    seq = parse_sequence_spec(args.seq)
+def _cmd_discrepancy(args, seq) -> None:
+    from .orbit import orbit_discrepancy_report
     E = _resolve_source(args, seq)
     cps = _parse_checkpoints(args.checkpoints)
     _write_report(args, orbit_discrepancy_report(E, cps, depth=_parse_depth(args.depth)),
                   {"checkpoints": cps, "depth": args.depth})
 
 
-def _cmd_value(args) -> None:
-    seq = parse_sequence_spec(args.seq)
+def _cmd_value(args, seq) -> None:
+    from .values import format_digits, prefix_value, to_base_b
     E = _build_target(args.target, seq, args)
     params = {"base": args.base, "digits": args.digits, "exact": args.exact}
     if args.exact:
+        from decimal import Decimal
         interval = prefix_value(seq, E.prefix(args.exact))
         # Decimal prints an int's exact digits, also past the 4300-digit
         # limit of Python's int-to-str conversion
@@ -319,8 +316,8 @@ def _cmd_value(args) -> None:
     _emit(args, [body.encode()], params)
 
 
-def _cmd_diagnose(args) -> None:
-    seq = parse_sequence_spec(args.seq)
+def _cmd_diagnose(args, seq) -> None:
+    from .stats import growth_diagnostic, parse_block
     cps = _parse_checkpoints(args.checkpoints)
     if len({n for n in cps if n > 1}) < 2:
         raise ArgumentError("a growth trend needs at least two checkpoints above 1")
@@ -345,7 +342,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--log-base", default="e", choices=("e", "2", "10"),
                            help="log base used by derived companion sequences")
             p.add_argument("--target", default="xq", choices=TARGETS)
-            p.add_argument("--ud", default="vdc", choices=UDSource.KINDS)
+            p.add_argument("--ud", default="vdc", choices=UD_KINDS)
 
     p = sub.add_parser("digits", help="emit construction digits")
     common(p)
@@ -399,7 +396,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        args.func(args)
+        from .sequences import parse_sequence_spec
+        args.func(args, parse_sequence_spec(args.seq))
     except ArgumentError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return 2
@@ -412,5 +410,21 @@ def main(argv=None) -> int:
     return 0
 
 
+def run() -> None:
+    """The `cantornormal` command and `python -m cantornormal.cli`: exit with
+    the code of `main`.
+
+    Once `main` is done, gc.freeze() moves every object into the collector's
+    permanent generation, so interpreter finalization skips a walk of the
+    whole heap, numpy's included; atexit handlers, stream flushes and module
+    teardown still run. A lazily imported heap is only frozen after it is
+    built, hence here and not before `main`.
+    """
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import logging
 from typing import Callable
 
 import numpy as np
@@ -11,8 +10,6 @@ from .errors import ArgumentError, InsufficientDigitsError, excerpt
 from .generator import generate_digits, window_digits
 from .ladder import PartitionIndex
 from .sequences import BasicSequence, check_length, check_position
-
-log = logging.getLogger("cantornormal")
 
 
 class DigitSequence:

@@ -16,7 +16,6 @@ classes of starts; the kinds only supply them.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import operator
 import sys
@@ -235,6 +234,7 @@ class BasicSequence:
         raise NotImplementedError
 
     def spec_string(self) -> str:
+        import json
         return "json:" + json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
 
     def __repr__(self) -> str:
@@ -368,6 +368,7 @@ class IndexLogSequence(BasicSequence):
     def spec_string(self) -> str:
         if self.log_base == "e":
             return "preset:index-log"
+        import json
         return "json:" + json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
 
 
@@ -479,6 +480,7 @@ def parse_sequence_spec(spec: str) -> BasicSequence:
         text = rest
     else:
         raise ArgumentError(f"unknown sequence spec kind {excerpt(head)}")
+    import json
     try:
         # ValueError also covers integers past Python's int-parsing digit limit
         data = json.loads(text)

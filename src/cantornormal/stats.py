@@ -32,11 +32,18 @@ def _check_product_width(top: int, k: int) -> None:
         raise ArgumentError(f"window products of {k} bases up to {top} overflow int64")
 
 
+# class-by-checkpoint cells per array pass of _expected_counts
+_SUM_CELLS = 1 << 16
+
+
 def _expected_counts(seq: BasicSequence, block: tuple, checkpoints) -> list[Fraction]:
     """Exact expected counts of `block` at each n of an ascending checkpoint
     list: the sum of 1/(q_i...q_{i+k-1}) over the starts i <= n whose base
     window lies above the block, taken over the classes of starts of
-    seq.window_classes grouped by window product."""
+    seq.window_classes. One cumulative pass over the checkpoints adds the
+    starts each class gained since the checkpoint before, weighted over the
+    common denominator of the window products, so a checkpoint costs one
+    Fraction however many classes there are."""
     k = len(block)
     first, last, step, windows = seq.window_classes(k, checkpoints[-1])
     top = int(windows.max())
@@ -45,13 +52,25 @@ def _expected_counts(seq: BasicSequence, block: tuple, checkpoints) -> list[Frac
     for j, d in enumerate(block):
         # a digit may pass int64; one at or above every base keeps no class
         keep &= windows[:, j] > min(d, top)
-    prods, group = np.unique(np.prod(windows[keep], axis=1), return_inverse=True)
+    prods = np.prod(windows[keep], axis=1).tolist()
     first, last, step = first[keep], last[keep], step[keep]
-    sums = []
-    for n in checkpoints:
-        starts = np.zeros(len(prods), dtype=first.dtype)
-        np.add.at(starts, group, np.maximum(0, (np.minimum(last, n) - first) // step + 1))
-        sums.append(sum((Fraction(int(c), int(v)) for v, c in zip(prods, starts)), Fraction(0)))
+    den = math.lcm(*set(prods))
+    weights = [den // v for v in prods]
+    cps = np.array(checkpoints, dtype=first.dtype)
+    seen = np.zeros((1, len(first)), dtype=first.dtype)  # starts at the checkpoint before
+    num, sums = 0, []
+    rows = max(1, _SUM_CELLS // max(len(first), 1))
+    for lo in range(0, len(cps), rows):
+        starts = np.maximum(0, (np.minimum(last, cps[lo:lo + rows, None]) - first) // step + 1)
+        gained = np.diff(starts, axis=0, prepend=seen)
+        seen = starts[-1:]
+        adds = [0] * len(gained)
+        rows_at, classes = np.nonzero(gained)
+        for j, i, g in zip(rows_at.tolist(), classes.tolist(), gained[rows_at, classes].tolist()):
+            adds[j] += g * weights[i]
+        for add in adds:
+            num += add
+            sums.append(Fraction(num, den))
     return sums
 
 

@@ -20,13 +20,13 @@ checkable.
 
 from __future__ import annotations
 
-import logging
 import math
 from fractions import Fraction
 from itertools import accumulate
 
 import numpy as np
 
+from . import UD_KINDS
 from .digitseq import DigitSequence, constructed_digits
 from .errors import ArgumentError, CantorSeriesError, ScanBoundError
 from .sequences import (
@@ -36,9 +36,6 @@ from .sequences import (
     ceil_log,
     check_position,
 )
-from .stats import _expected_counts, admissible_blocks, expected_count
-
-log = logging.getLogger("cantornormal")
 
 DEFAULT_SCAN_LIMIT = 10**6
 # positions per array pass of Schedule.prefix: keeps its temporaries at a
@@ -79,13 +76,14 @@ class UDSource:
     farey  reduced fractions ordered by denominator, then numerator
     """
 
-    KINDS = ("vdc", "farey")
+    KINDS = UD_KINDS
 
     def __init__(self, kind: str = "vdc"):
         if kind not in self.KINDS:
             raise ArgumentError(f"unknown uniform driver {kind!r}; expected {self.KINDS}")
         self.kind = kind
         self._farey_counts = np.zeros(1, dtype=np.int64)
+        self._farey_factor = np.zeros(1, dtype=np.int64)  # largest prime factor of each d
 
     def value(self, n: int) -> Fraction:
         check_position(n)
@@ -117,22 +115,33 @@ class UDSource:
         """Numerators and denominators of the farey terms at positions n.
         Term n's denominator is the least d whose totient prefix count
         phi(1) + ... + phi(d) reaches n, and its numerator the rank-th
-        integer below d coprime to d; d is about 1.8 sqrt(n), so no table
-        grows with n."""
+        integer below d coprime to d, found by striking out the multiples
+        of d's prime factors; d is about 1.8 sqrt(n), so no table grows
+        with n."""
         top = int(n.max())
         size = len(self._farey_counts)
         while self._farey_counts[-1] < top:
             size *= 2
             phi = np.arange(size, dtype=np.int64)
+            factor = np.zeros(size, dtype=np.int64)
             for p in range(2, size):
                 if phi[p] == p:  # untouched by a smaller prime, so p is prime
                     phi[p::p] -= phi[p::p] // p
-            self._farey_counts = np.cumsum(phi)
-        counts = self._farey_counts
+                    factor[p::p] = p  # primes come in ascending order: the largest stays
+            self._farey_counts, self._farey_factor = np.cumsum(phi), factor
+        counts, factor = self._farey_counts, self._farey_factor
         den = np.searchsorted(counts, n)
         dens, group = np.unique(den, return_inverse=True)
-        # gcd(0, d) = d, so 0 is coprime to 1 only and term 1 is 0/1
-        coprime = [np.flatnonzero(np.gcd(np.arange(d), d) == 1) for d in dens.tolist()]
+        coprime = []
+        for d in dens.tolist():
+            # 0 is a multiple of every prime, so it is coprime to 1 only and term 1 is 0/1
+            keep = np.ones(d, dtype=bool)
+            while d > 1:
+                p = int(factor[d])
+                keep[::p] = False
+                while d % p == 0:
+                    d //= p
+            coprime.append(np.flatnonzero(keep))
         offsets = np.cumsum([0] + [c.size for c in coprime[:-1]])
         return np.concatenate(coprime)[offsets[group] + n - counts[den - 1] - 1], den
 
@@ -265,6 +274,8 @@ class Schedule:
         1..j - k + 1 summed. The sums only grow, so each block's first
         passing start count is found by doubling the start counts read, and
         j is the largest of them plus k - 1."""
+        # stats loads here, not with the module: only a level computes blocks
+        from .stats import _expected_counts, admissible_blocks, expected_count
         if not 1 <= k <= n:
             raise ArgumentError(f"block length {k} must lie in 1..{n}")
         # never empty: every base is >= 2, so the all-zero block is admissible
@@ -340,8 +351,9 @@ class Schedule:
         return d
 
     def _clamp(self, n: int) -> None:
+        import logging
         self.clamp_events += 1
-        log.warning("clamped digit at position %d", n)
+        logging.getLogger("cantornormal").warning("clamped digit at position %d", n)
 
     def prefix(self, count: int) -> np.ndarray:
         """Digits 1..count, equal to digit(n) for each n."""

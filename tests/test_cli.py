@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -564,6 +565,80 @@ def test_entry_point_defaults_blas_to_one_thread(blas, seen):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           env=_child_env(**blas), timeout=60)
     assert (proc.returncode, proc.stdout.decode().strip()) == (0, seen), proc.stderr.decode()
+
+
+# A child that runs the CLI as `python -m cantornormal.cli` does, or as the
+# installed `cantornormal` script does. At exit it prints, as its last stderr
+# line, the package modules it loaded besides cli, the watched modules it
+# loaded, and whether the collector's heap was frozen by then.
+_REPORT_AT_EXIT = """
+import atexit, gc, json, runpy, sys
+watched = ("numpy", "hashlib", "decimal")
+atexit.register(lambda: print(json.dumps({
+    "modules": sorted(m.split(".", 1)[1] for m in sys.modules
+                      if m.startswith("cantornormal.") and m != "cantornormal.cli"),
+    "watched": [m for m in watched if m in sys.modules],
+    "frozen": gc.get_freeze_count() > 0}), file=sys.stderr))
+if sys.argv.pop(1) == "script":
+    from cantornormal.cli import run
+    sys.exit(run())
+runpy.run_module("cantornormal.cli", run_name="__main__", alter_sys=True)
+"""
+# what every subcommand loads to parse --seq and read the construction
+_CORE = ("digitseq", "errors", "generator", "kernels", "ladder", "sequences")
+_PRESET = ("--seq", "preset:iterated-log")
+# argv -> (exit code, package modules, watched modules)
+_STARTUP_CASES = {
+    "version": (("--version",), 0, ("errors",), ()),
+    "help": (("--help",), 0, ("errors",), ()),
+    "construct-help": (("construct", "--help"), 0, ("errors",), ()),
+    "usage-error": (("digits", "--no-such-option"), 2, ("errors",), ()),
+    "digits": (("digits", *_PRESET, "--count", "100"), 0, _CORE, ("numpy",)),
+    "digits-manifest": (("digits", *_PRESET, "--count", "100", "--manifest", "m.json"), 0,
+                        _CORE, ("numpy", "hashlib")),
+    "nq-not-dnq": (("construct", *_PRESET, "--target", "nq-not-dnq", "--count", "100"), 0,
+                   _CORE + ("transforms",), ("numpy",)),
+    "rnq-not-nq": (("construct", *_PRESET, "--target", "rnq-not-nq", "--count", "100"), 0,
+                   _CORE + ("transforms",), ("numpy",)),
+    "rnq-dnq-not-nq": (("construct", *_PRESET, "--target", "rnq-dnq-not-nq", "--count", "100"),
+                       0, _CORE + ("stats", "transforms"), ("numpy",)),
+    "stats": (("stats", *_PRESET, "--blocks", "all:1", "--checkpoints", "100"), 0,
+              _CORE + ("stats",), ("numpy",)),
+    "discrepancy": (("discrepancy", *_PRESET, "--checkpoints", "100"), 0,
+                    _CORE + ("orbit",), ("numpy",)),
+    "value": (("value", *_PRESET, "--target", "xq"), 0, _CORE + ("values",), ("numpy",)),
+    "value-exact": (("value", *_PRESET, "--target", "xq", "--exact", "20"), 0,
+                    _CORE + ("values",), ("numpy", "decimal")),
+    "diagnose": (("diagnose", *_PRESET, "--block", "0", "--checkpoints", "10,100"), 0,
+                 ("errors", "kernels", "sequences", "stats"), ("numpy",)),
+}
+# the modules that import fractions, which imports decimal
+_FRACTION_USERS = {"orbit", "stats", "transforms", "values"}
+
+
+@pytest.mark.parametrize("case", sorted(_STARTUP_CASES))
+def test_each_subcommand_loads_only_what_it_runs(tmp_path, case):
+    argv, code, modules, watched = _STARTUP_CASES[case]
+    # the digits cases start as the installed script does, the rest as `-m` does
+    launcher = "script" if case.startswith("digits") else "module"
+    proc = subprocess.run([sys.executable, "-c", _REPORT_AT_EXIT, launcher, *argv],
+                          capture_output=True, env=_child_env(), cwd=tmp_path, timeout=60)
+    err = proc.stderr.decode()
+    assert proc.returncode == code, err
+    report = json.loads(err.splitlines()[-1])
+    assert report["modules"] == sorted(modules)
+    seen = set(report["watched"])
+    if _FRACTION_USERS & set(modules) and "decimal" not in watched:
+        seen.discard("decimal")
+    assert seen == set(watched)
+    # the entry point freezes the heap once main is done, on every exit path
+    assert report["frozen"]
+
+
+def test_in_process_main_does_not_freeze(capsys):
+    code, _, _ = run_cli(capsys, "digits", "--seq", "constant:2", "--count", "4")
+    assert code == 0
+    assert gc.get_freeze_count() == 0
 
 
 @pytest.mark.parametrize("argv", [
