@@ -36,34 +36,25 @@ def _build_target(name: str, seq, args):
         return build_orbit_sink(seq, log_base=args.log_base)
     if name == "rnq-not-nq":
         return build_half_range(seq, log_base=args.log_base)
-    if name == "rnq-dnq-not-nq":
-        ud = UDSource(args.ud)
-        return build_patched_uniform(seq, ud=ud, log_base=args.log_base)
-    raise ArgumentError(f"unknown target {name!r}; expected one of {TARGETS}")
-
-
-def _json_field(path, key: str, kind: type):
-    """The `key` entry of the JSON object in `path`, which must be a `kind`."""
-    import json
-    from .sequences import read_text
-    try:
-        # ValueError also covers integers past Python's int-parsing digit limit
-        data = json.loads(read_text(path))
-    except ValueError as exc:
-        raise ArgumentError(f"{path}: bad JSON: {exc}") from exc
-    if not isinstance(data, dict) or key not in data:
-        raise ArgumentError(f"{path}: expected a JSON object with key {key!r}")
-    value = data[key]
-    if not isinstance(value, kind):
-        raise ArgumentError(f"{path}: {key!r} must be a JSON {kind.__name__}")
-    return value
+    # argparse's choices=TARGETS leaves only rnq-dnq-not-nq
+    return build_patched_uniform(seq, ud=UDSource(args.ud), log_base=args.log_base)
 
 
 def _load_digit_file(seq, path):
     from .digitseq import finite_digits
     from .sequences import read_text
     if path.suffix == ".json":
-        digits = _json_field(path, "digits", list)
+        import json
+        try:
+            # ValueError also covers integers past Python's int-parsing digit limit
+            data = json.loads(read_text(path))
+        except ValueError as exc:
+            raise ArgumentError(f"{path}: bad JSON: {exc}") from exc
+        if not isinstance(data, dict) or "digits" not in data:
+            raise ArgumentError(f"{path}: expected a JSON object with key 'digits'")
+        digits = data["digits"]
+        if not isinstance(digits, list):
+            raise ArgumentError(f"{path}: 'digits' must be a JSON list")
         if not all(type(d) is int for d in digits):
             raise ArgumentError(f"{path}: digits must be integers")
     else:

@@ -21,9 +21,8 @@ class DigitSequence:
     `construct` writes as the `graph` of its manifest. Checks read the
     bases from `seq` and the digits through `prefix` or `window`.
 
-    A stream that can decode positions lo + 1..hi without the digits before
-    them passes that as `window(lo, hi, out)`, which writes them into `out`;
-    every other stream serves its windows from the cached prefix.
+    Every stream also passes `window(lo, hi, out)`, which writes the digits
+    at positions lo + 1..hi into `out`; `window` reads through it alone.
     """
 
     def __init__(
@@ -32,7 +31,7 @@ class DigitSequence:
         source: Callable[[int], np.ndarray],
         description: dict,
         *,
-        window: Callable[[int, int, np.ndarray], None] | None = None,
+        window: Callable[[int, int, np.ndarray], None],
     ):
         self.seq = seq
         self._source = source
@@ -51,10 +50,6 @@ class DigitSequence:
                 fresh = np.asarray(self._source(grow), dtype=np.int64)
             except InsufficientDigitsError:
                 fresh = np.asarray(self._source(n), dtype=np.int64)
-            if fresh.size < n:
-                raise InsufficientDigitsError(
-                    f"digit source provided {fresh.size} digits, need {n}"
-                )
             self._buf = fresh
         view = self._buf[:n]
         view.flags.writeable = False
@@ -62,18 +57,11 @@ class DigitSequence:
 
     def window(self, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
         """Digits at positions lo + 1..hi, written into `out` if given (else
-        a new array, or a read-only view of the cached prefix). A read past
-        a finite stream's end, or past what an int64 array can address, is
-        refused as `prefix(hi)` refuses it."""
+        a new array). A read past a finite stream's end, or past what an
+        int64 array can address, is refused as `prefix(hi)` refuses it."""
         if not 0 <= lo <= hi:
             raise ArgumentError(f"a window needs 0 <= lo <= hi, got {excerpt((lo, hi))}")
         check_length(hi)
-        if self._window is None or hi <= self._buf.size:
-            digits = self.prefix(hi)[lo:]
-            if out is None:
-                return digits
-            out[:] = digits
-            return out
         if out is None:
             out = np.empty(hi - lo, dtype=np.int64)
         self._window(lo, hi, out)
@@ -107,8 +95,7 @@ def check_digit_range(digits: np.ndarray, bases: np.ndarray) -> None:
 
 
 def finite_digits(seq: BasicSequence, digits) -> DigitSequence:
-    """A finite, explicit digit list; reading past the end is an error. Its
-    windows are slices of the list, which its prefix holds whole."""
+    """A finite, explicit digit list; reading past the end is an error."""
     arr = np.asarray(list(digits), dtype=np.int64)
     check_digit_range(arr, seq.bases(1, arr.size))
 
@@ -119,4 +106,8 @@ def finite_digits(seq: BasicSequence, digits) -> DigitSequence:
             )
         return arr
 
-    return DigitSequence(seq, source, {"op": "literal", "seq": seq.to_json(), "count": arr.size})
+    def window(lo: int, hi: int, out: np.ndarray) -> None:
+        out[:] = source(hi)[lo:hi]
+
+    return DigitSequence(seq, source, {"op": "literal", "seq": seq.to_json(), "count": arr.size},
+                         window=window)

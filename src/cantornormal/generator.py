@@ -4,12 +4,16 @@ Three routes produce the same digits:
 
 * ``generate_digits`` - bulk arrays through ``window_digits``, which decodes
   any window of positions alone, region by region, in closed form over the
-  classes of starts that share a base window (``region_decode``),
+  classes of starts that share a base window (``region_decode``); one
+  formula, ``_radix_digits``, decodes every window it writes, whole or cut,
 * ``digit_stream``    - a stateful pure-Python generator walking windows in
   position order (single consumer),
 * ``digit_at``        - a direct per-position oracle that recounts earlier
   equal windows from the region start. O(n) per call; meant for
   cross-checking the other two, not for bulk generation.
+
+The two oracles read their blocks through ``ladder.block_from_index``, which
+the bulk decode does not share.
 """
 
 from __future__ import annotations
@@ -102,8 +106,8 @@ def region_decode(seq: BasicSequence, lo: int, r: int, out: np.ndarray, skip: in
     for j in {j for j in (skip // r, nwin - 1) if not jlo <= j < jhi}:  # out cuts these
         i = j - jmin
         c = np.flatnonzero((i >= 0) & (i % period == 0) & (i < count * period))[0]
-        rank = int(rank0[c] + rise[c] * (i[c] // period[c])) % int(prods[c])
-        block = block_from_index(windows[c], rank + 1)
+        rank = rank0[c : c + 1] + rise[c] * (i[c] // period[c])
+        block = _radix_digits(rank, windows[c], prods[c])[0]
         a, b = max(j * r, skip), min(j * r + r, skip + out.size)
         out[a - skip : b - skip] = block[a - j * r : b - j * r]
     return int(np.count_nonzero(rank0 == 0))  # the first class with each window

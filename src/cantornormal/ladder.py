@@ -78,9 +78,7 @@ class PartitionIndex:
     def boundaries_through(self, n: int):
         """The cached boundary list [N_1, N_2, ...], extended until it covers
         position n (last entry >= n)."""
-        check_position(n)
-        while self._N[-1] < n:
-            self.boundary(len(self._N))
+        self.region_of(n)
         return self._N[1:]
 
 

@@ -242,11 +242,32 @@ def test_stats_from_file(capsys, tmp_path):
     assert out.splitlines()[1].startswith("0-1,4,2,")
 
 
+def test_digit_file_blank_lines_are_skipped(capsys, tmp_path):
+    plain, blank = tmp_path / "plain.csv", tmp_path / "blank.csv"
+    plain.write_text("1,0\n2,1\n3,1\n4,0\n")
+    blank.write_text("\n1,0\n2,1\n\n  \n3,1\n4,0\n\n")
+    outs = [run_cli(capsys, "stats", "--seq", "constant:2", "--source", f"file:{path}",
+                    "--blocks", "0;1;0,1;1,1", "--checkpoints", "2,3")
+            for path in (plain, blank)]
+    assert outs[0][0] == 0
+    assert outs[0] == outs[1]
+
+
 def test_value_proven_digits(capsys):
     code, out, _ = run_cli(capsys, "value", "--seq", "constant:2", "--target", "xq",
                            "--base", "10", "--digits", "3")
     assert code == 0
     assert out == "0.333 (base 10)\n"
+
+
+@pytest.mark.parametrize("seq, base, digits, want", [
+    ("constant:2", "16", "12", "0.5.5.5.5.5.5.1.11.1.11.1.11 (base 16)"),
+    ("preset:iterated-log", "36", "8", "0.11.35.35.35.35.6.17.21 (base 36)"),
+])
+def test_value_digits_past_base_10_are_dotted(capsys, seq, base, digits, want):
+    code, out, _ = run_cli(capsys, "value", "--seq", seq, "--base", base, "--digits", digits)
+    assert code == 0
+    assert out == want + "\n"
 
 
 def test_value_exact_prefix(capsys):
@@ -342,7 +363,7 @@ BAD_BLOCKS = ["-1", "1-", "0,,1"]
      "int64-constant-discrepancy", "past-int64-count", "past-int64-construct-count",
      "past-int64-exact", "past-int64-checkpoint", "past-int64-periodic-checkpoint",
      "past-int64-diagnose-checkpoint", "past-int64-depth", "diagnose-empty-block-field",
-     "manifest-parent-missing", "manifest-is-dir"]
+     "manifest-parent-missing", "manifest-is-dir", "bad-depth"]
     + [f"digit-json {text}" for text in BAD_DIGIT_JSON_FILES]
     + [f"json-seq {text}" for text in BAD_SEQ_JSON]
     + [f"empty-block-field {text}" for text in BAD_BLOCKS],
@@ -446,6 +467,8 @@ def test_bad_input_exits_2(capsys, monkeypatch, tmp_path, case):
                                     "--manifest", "missing/m.json"),
         "manifest-is-dir": ("digits", "--seq", "constant:2", "--count", "5",
                             "--manifest", "."),
+        "bad-depth": ("discrepancy", "--seq", "constant:2", "--depth", "foo",
+                      "--checkpoints", "10"),
     }[kind]
     monkeypatch.chdir(tmp_path)
     code, _, err = run_cli(capsys, *argv)
@@ -454,6 +477,8 @@ def test_bad_input_exits_2(capsys, monkeypatch, tmp_path, case):
     assert len(err) < 1024
     if kind == "huge-int-digit-file":
         assert "bad JSON" in err  # the parse error, not a missing key
+    if kind == "bad-depth":
+        assert err == "error[argument]: bad depth 'foo'; expected fixed:<d> or default\n"
     if kind.startswith("manifest-"):
         assert err.count("\n") == 1 and f"manifest to {argv[-1]!r}:" in err
 

@@ -1,10 +1,11 @@
 """Windowed digit reads against the prefix they slice.
 
-Every stream answers `window(lo, hi)` with `prefix(hi)[lo:]`. The windowed
-streams decode a window alone, so each is checked on a stream whose prefix
-is never read, against a twin stream's prefix, with lo and hi drawn near the
-seams where the decode changes course: region boundaries, runs of constant
-base, the schedule's levels and its array chunks.
+Every stream answers `window(lo, hi)` with `prefix(hi)[lo:]`. Every stream,
+the finite list included, reads a window through its own window function,
+so each is checked on a stream whose prefix is never read, against a twin
+stream's prefix, with lo and hi drawn near the seams where the decode
+changes course: region boundaries, runs of constant base, the schedule's
+levels and its array chunks.
 """
 
 import re
@@ -92,8 +93,7 @@ def test_window_equals_the_prefix_slice(kind, data):
         out = np.full(hi - lo, -1, dtype=np.int64)
         assert E.window(lo, hi, out) is out
         assert out.tolist() == want[lo:hi].tolist()
-    if kind != "finite":  # a finite list reads its windows from its prefix
-        assert E._buf.size == 0
+    assert E._buf.size == 0
 
 
 def test_window_refusals_match_the_prefix():

@@ -212,6 +212,15 @@ def test_log_mass_with_injected_level():
     assert log_mass_predicate(s, 2, 15)
 
 
+def test_log_mass_scan_refusal(monkeypatch, log_preset):
+    assert [Schedule(log_preset).log_mass_threshold(n) for n in (1, 2, 3)] == [2, 9, 262]
+    monkeypatch.setattr(transforms, "DEFAULT_SCAN_LIMIT", 3)
+    s = Schedule(log_preset)
+    with pytest.raises(ScanBoundError) as info:
+        s.log_mass_threshold(3)
+    assert str(info.value) == "log-mass threshold for step 2 not found within 3 positions"
+
+
 def test_log_mass_monotone_stop():
     s = Schedule(PeriodicSequence([2, 3]))
     t = s.log_mass_threshold(1)
@@ -367,6 +376,14 @@ def test_patched_stream_wiring(log_preset):
     assert x.description["op"] == "schedule-patch"
     with pytest.raises(ArgumentError):
         build_patched_uniform(ConstantSequence(3))
+
+
+def test_patched_stream_base_2_logs(log_preset):
+    # ceil_log in base 2 compares against a power of two, not a float power
+    x = build_patched_uniform(log_preset, log_base="2")
+    sched = x.schedule
+    assert [sched.level(j) for j in (1, 2, 3)] == [4, 252, 2097148]
+    assert x.prefix(3000).tolist() == [sched.digit(n) for n in range(1, 3001)]
 
 
 class _FixedLevels(Schedule):
