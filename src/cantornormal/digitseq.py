@@ -90,13 +90,18 @@ def check_digit_range(digits: np.ndarray, bases: np.ndarray) -> None:
     if bad.size:
         i = int(bad[0])
         raise ArgumentError(
-            f"digit {int(digits[i])} at position {i + 1} outside 0..{int(bases[i]) - 1}"
+            f"digit {excerpt(int(digits[i]))} at position {i + 1} outside 0..{int(bases[i]) - 1}"
         )
 
 
 def finite_digits(seq: BasicSequence, digits) -> DigitSequence:
     """A finite, explicit digit list; reading past the end is an error."""
-    arr = np.asarray(list(digits), dtype=np.int64)
+    digits = list(digits)
+    try:
+        arr = np.asarray(digits, dtype=np.int64)
+    except OverflowError:
+        # every base is below 2**63, so the range check refuses a digit past int64
+        arr = np.asarray(digits, dtype=object)
     check_digit_range(arr, seq.bases(1, arr.size))
 
     def source(n: int) -> np.ndarray:

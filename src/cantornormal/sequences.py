@@ -234,8 +234,18 @@ class BasicSequence:
         raise NotImplementedError
 
     def spec_string(self) -> str:
+        """The --seq form that parse_sequence_spec reads back as this
+        sequence: a short form where the JSON description fits one, else
+        json: and the description."""
+        d = self.to_json()
+        if d["kind"] == "constant":
+            return f"constant:{d['b']}"
+        if d["kind"] == "periodic":
+            return "periodic:" + ",".join(map(str, d["bases"]))
+        if d["kind"] == "preset" and d.get("log_base", "e") == "e":
+            return f"preset:{d['name']}"
         import json
-        return "json:" + json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
+        return "json:" + json.dumps(d, sort_keys=True, separators=(",", ":"))
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.spec_string()}>"
@@ -265,23 +275,16 @@ class ConstantSequence(BasicSequence):
     def to_json(self) -> dict:
         return {"kind": "constant", "b": self.b}
 
-    def spec_string(self) -> str:
-        return f"constant:{self.b}"
-
 
 class PeriodicSequence(BasicSequence):
     def __init__(self, pattern):
         pattern = _check_bases(pattern)
         if not pattern:
             raise ArgumentError("periodic sequence needs at least one base")
-        self.pattern = pattern
         self.head, self.cycle = [], pattern
 
     def to_json(self) -> dict:
-        return {"kind": "periodic", "bases": self.pattern}
-
-    def spec_string(self) -> str:
-        return "periodic:" + ",".join(str(b) for b in self.pattern)
+        return {"kind": "periodic", "bases": self.cycle}
 
 
 class TableSequence(BasicSequence):
@@ -291,11 +294,10 @@ class TableSequence(BasicSequence):
         table = _check_bases(table)
         if not table:
             raise ArgumentError("table sequence needs at least one base")
-        self.table = table
         self.head, self.cycle = table[:-1], table[-1:]
 
     def to_json(self) -> dict:
-        return {"kind": "table", "bases": self.table, "extend": "repeat-last"}
+        return {"kind": "table", "bases": self.head + self.cycle, "extend": "repeat-last"}
 
 
 class PresetSequence(BasicSequence):
@@ -341,9 +343,6 @@ class PresetSequence(BasicSequence):
     def to_json(self) -> dict:
         return {"kind": "preset", "name": self.name}
 
-    def spec_string(self) -> str:
-        return f"preset:{self.name}"
-
 
 class IndexLogSequence(BasicSequence):
     """p_n = floor(log(n)) + 2, the canonical slowly-growing donor sequence."""
@@ -364,12 +363,6 @@ class IndexLogSequence(BasicSequence):
 
     def to_json(self) -> dict:
         return {"kind": "preset", "name": "index-log", "log_base": self.log_base}
-
-    def spec_string(self) -> str:
-        if self.log_base == "e":
-            return "preset:index-log"
-        import json
-        return "json:" + json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
 
 
 class PointwiseSequence(BasicSequence):
@@ -453,7 +446,9 @@ def sequence_from_json(obj: dict) -> BasicSequence:
 
 
 def parse_sequence_spec(spec: str) -> BasicSequence:
-    """Parse the mini-language: constant:b | periodic:a,b,c | preset:name | file:path."""
+    """Parse the mini-language: constant:b | periodic:a,b,c | preset:name |
+    file:path | json:text. A short form is read as the JSON description it
+    stands for, so sequence_from_json builds (and refuses) every spec."""
     if ":" not in spec:
         raise ArgumentError(
             f"bad sequence spec {excerpt(spec)}; expected constant:b, periodic:a,b,..., "
@@ -462,28 +457,24 @@ def parse_sequence_spec(spec: str) -> BasicSequence:
     head, _, rest = spec.partition(":")
     if head == "constant":
         try:
-            return ConstantSequence(int(rest))
+            data = {"kind": "constant", "b": int(rest)}
         except ValueError as exc:
             raise ArgumentError(f"bad constant base {excerpt(rest)}") from exc
-    if head == "periodic":
+    elif head == "periodic":
         try:
-            return PeriodicSequence([int(p) for p in rest.split(",") if p])
+            data = {"kind": "periodic", "bases": [int(p) for p in rest.split(",") if p]}
         except ValueError as exc:
             raise ArgumentError(f"bad periodic pattern {excerpt(rest)}") from exc
-    if head == "preset":
-        if rest == "index-log":
-            return IndexLogSequence()
-        return PresetSequence(rest)
-    if head == "file":
-        text = read_text(Path(rest))
-    elif head == "json":
-        text = rest
+    elif head == "preset":
+        data = {"kind": "preset", "name": rest}
+    elif head in ("file", "json"):
+        import json
+        text = read_text(Path(rest)) if head == "file" else rest
+        try:
+            # ValueError also covers integers past Python's int-parsing digit limit
+            data = json.loads(text)
+        except ValueError as exc:
+            raise ArgumentError(f"bad sequence JSON in {excerpt(spec)}: {exc}") from exc
     else:
         raise ArgumentError(f"unknown sequence spec kind {excerpt(head)}")
-    import json
-    try:
-        # ValueError also covers integers past Python's int-parsing digit limit
-        data = json.loads(text)
-    except ValueError as exc:
-        raise ArgumentError(f"bad sequence JSON in {excerpt(spec)}: {exc}") from exc
     return sequence_from_json(data)

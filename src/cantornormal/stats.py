@@ -255,9 +255,11 @@ class GrowthDiagnostic:
     checkpoints is evidence, not proof, that the growth hypothesis holds.
     """
 
+    #: the trend check is heuristic for every block and checkpoint ladder
+    label = "heuristic"
+
     block: tuple
     rows: list[GrowthRow]
-    label: str = "heuristic"
 
     @property
     def increasing(self) -> bool:

@@ -341,13 +341,35 @@ def test_argument_error_exit_code(capsys):
 
 
 BAD_DIGIT_JSON_FILES = ["{bad", "{}", "[1,0]", '{"digits": 5}', '{"digits": ["a"]}',
-                        '{"digits": [5]}']
+                        '{"digits": [5]}', '{"digits": [99999999999999999999, 1]}']
 BAD_SEQ_JSON = ['{"kind":"constant"}', '{"kind":"preset"}', '{"kind":"pointwise","op":"log-of"}',
                 '{"kind":"constant","b":"x"}', '{"kind":"periodic","bases":5}',
                 '{"kind":"constant","b":2.5}', '{"kind":"periodic","bases":[3,2.5]}',
-                '{"kind":"preset","name":"index-log","log_base":[10]}']
+                '{"kind":"preset","name":"index-log","log_base":[10]}', '{"kind":"foo"}',
+                '{"kind":"table","bases":[]}',
+                '{"kind":"pointwise","op":"x","of":{"kind":"constant","b":2}}']
 # an empty digit field is a bad block, not a separator to skip
 BAD_BLOCKS = ["-1", "1-", "0,,1"]
+# the whole stderr line of these cases
+PINNED_ERRORS = {
+    "bad-depth": "bad depth 'foo'; expected fixed:<d> or default",
+    "bad-seq-spec": "bad sequence spec 'foo'; expected constant:b, periodic:a,b,..., "
+                    "preset:name or file:path",
+    'json-seq {"kind":"foo"}': "unknown sequence kind 'foo'",
+    'json-seq {"kind":"table","bases":[]}': "table sequence needs at least one base",
+    'json-seq {"kind":"pointwise","op":"x","of":{"kind":"constant","b":2}}':
+        "unknown pointwise op 'x'",
+    "bad-source": "bad source 'foo'; expected construct or file:path",
+    "depth-zero": "truncation depth must be >= 1, got 0",
+    # every base is below 2**63, so a digit past int64 is out of range where it stands
+    "past-int64-digit-file": "digit 99999999999999999999 at position 1 outside 0..1",
+    'digit-json {"digits": [99999999999999999999, 1]}':
+        "digit 99999999999999999999 at position 1 outside 0..1",
+    # a short form is refused as its JSON description is
+    "constant-below-2": "bases must be >= 2, got [1]",
+    "periodic-below-2": "bases must be >= 2, got [1, 2]",
+    "periodic-empty": "periodic sequence needs at least one base",
+}
 
 
 @pytest.mark.parametrize(
@@ -363,7 +385,9 @@ BAD_BLOCKS = ["-1", "1-", "0,,1"]
      "int64-constant-discrepancy", "past-int64-count", "past-int64-construct-count",
      "past-int64-exact", "past-int64-checkpoint", "past-int64-periodic-checkpoint",
      "past-int64-diagnose-checkpoint", "past-int64-depth", "diagnose-empty-block-field",
-     "manifest-parent-missing", "manifest-is-dir", "bad-depth"]
+     "manifest-parent-missing", "manifest-is-dir", "bad-depth", "bad-seq-spec", "bad-source",
+     "depth-zero", "past-int64-digit-file", "constant-below-2", "periodic-below-2",
+     "periodic-empty"]
     + [f"digit-json {text}" for text in BAD_DIGIT_JSON_FILES]
     + [f"json-seq {text}" for text in BAD_SEQ_JSON]
     + [f"empty-block-field {text}" for text in BAD_BLOCKS],
@@ -388,6 +412,8 @@ def test_bad_input_exits_2(capsys, monkeypatch, tmp_path, case):
     wide = 2**70  # bulk base arrays are int64
     # no int64 array has this many entries; numpy refuses it before allocating
     past = "9" * 20
+    past_digit_file = tmp_path / "past.txt"
+    past_digit_file.write_text(f"{past}\n1\n")
     argv = {
         "bad-json-seq": ("digits", "--seq", "json:{bad", "--count", "4"),
         "bad-json-seq-file": ("digits", "--seq", f"file:{seq_file}", "--count", "4"),
@@ -469,6 +495,17 @@ def test_bad_input_exits_2(capsys, monkeypatch, tmp_path, case):
                             "--manifest", "."),
         "bad-depth": ("discrepancy", "--seq", "constant:2", "--depth", "foo",
                       "--checkpoints", "10"),
+        "bad-seq-spec": ("digits", "--seq", "foo", "--count", "4"),
+        "bad-source": ("stats", "--seq", "constant:2", "--source", "foo", "--blocks", "0",
+                       "--checkpoints", "1"),
+        "depth-zero": ("discrepancy", "--seq", "constant:2", "--depth", "fixed:0",
+                       "--checkpoints", "10"),
+        "past-int64-digit-file": ("stats", "--seq", "constant:2", "--source",
+                                  f"file:{past_digit_file}", "--blocks", "0",
+                                  "--checkpoints", "1"),
+        "constant-below-2": ("digits", "--seq", "constant:1", "--count", "4"),
+        "periodic-below-2": ("digits", "--seq", "periodic:1,2", "--count", "4"),
+        "periodic-empty": ("digits", "--seq", "periodic:", "--count", "4"),
     }[kind]
     monkeypatch.chdir(tmp_path)
     code, _, err = run_cli(capsys, *argv)
@@ -477,8 +514,8 @@ def test_bad_input_exits_2(capsys, monkeypatch, tmp_path, case):
     assert len(err) < 1024
     if kind == "huge-int-digit-file":
         assert "bad JSON" in err  # the parse error, not a missing key
-    if kind == "bad-depth":
-        assert err == "error[argument]: bad depth 'foo'; expected fixed:<d> or default\n"
+    if case in PINNED_ERRORS:
+        assert err == f"error[argument]: {PINNED_ERRORS[case]}\n"
     if kind.startswith("manifest-"):
         assert err.count("\n") == 1 and f"manifest to {argv[-1]!r}:" in err
 

@@ -146,6 +146,41 @@ def test_spec_minilanguage(tmp_path):
         parse_sequence_spec("preset:no-such-preset")
 
 
+_POINTWISE = '{"kind":"pointwise","log_base":"%s","of":%s,"op":"%s"}'
+SPEC_STRINGS = [
+    (ConstantSequence(2), "constant:2"),
+    (ConstantSequence(10), "constant:10"),
+    (PeriodicSequence([2, 3]), "periodic:2,3"),
+    (PeriodicSequence([5]), "periodic:5"),
+    (TableSequence([2, 3, 5]), 'json:{"bases":[2,3,5],"extend":"repeat-last","kind":"table"}'),
+    (TableSequence([7]), 'json:{"bases":[7],"extend":"repeat-last","kind":"table"}'),
+    (PresetSequence("log"), "preset:log"),
+    (PresetSequence("iterated-log"), "preset:iterated-log"),
+    (IndexLogSequence(), "preset:index-log"),
+    (IndexLogSequence("2"), 'json:{"kind":"preset","log_base":"2","name":"index-log"}'),
+    (IndexLogSequence("10"), 'json:{"kind":"preset","log_base":"10","name":"index-log"}'),
+    (PointwiseSequence(PresetSequence("log"), "log-of"),
+     "json:" + _POINTWISE % ("e", '{"kind":"preset","name":"log"}', "log-of")),
+    (PointwiseSequence(PresetSequence("iterated-log"), "half-of", "2"),
+     "json:" + _POINTWISE % ("2", '{"kind":"preset","name":"iterated-log"}', "half-of")),
+    (PointwiseSequence(PeriodicSequence([4, 9]), "half-of"),
+     "json:" + _POINTWISE % ("e", '{"bases":[4,9],"kind":"periodic"}', "half-of")),
+    (PointwiseSequence(TableSequence([16, 3]), "log-of", "10"),
+     "json:" + _POINTWISE % ("10", '{"bases":[16,3],"extend":"repeat-last","kind":"table"}',
+                             "log-of")),
+    (PointwiseSequence(ConstantSequence(8), "log-of", "2"),
+     "json:" + _POINTWISE % ("2", '{"b":8,"kind":"constant"}', "log-of")),
+]
+
+
+@pytest.mark.parametrize("seq, spec", SPEC_STRINGS, ids=[spec for _, spec in SPEC_STRINGS])
+def test_spec_string_reads_back_as_its_sequence(seq, spec):
+    assert seq.spec_string() == spec
+    assert repr(seq) == f"<{type(seq).__name__} {spec}>"
+    back = parse_sequence_spec(spec)
+    assert back == seq and type(back) is type(seq) and hash(back) == hash(seq)
+
+
 @given(st.lists(st.integers(min_value=2, max_value=50), min_size=1, max_size=8),
        st.integers(min_value=1, max_value=200))
 def test_periodic_running_max_is_prefix_max(pattern, n):
