@@ -152,10 +152,28 @@ def _emit(args, chunks, manifest_params: dict) -> None:
         try:
             with open(args.manifest, "w") as fh:
                 fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-        except OSError as exc:
-            raise ArgumentError(
-                f"cannot write the manifest to {excerpt(args.manifest)}: {exc.strerror}"
-            ) from exc
+        except OSError as exc:  # what `_check_manifest` cannot see: permissions, a full disk
+            raise _manifest_error(args.manifest, exc.strerror) from exc
+
+
+def _manifest_error(path: str, reason: str) -> ArgumentError:
+    return ArgumentError(f"cannot write the manifest to {excerpt(path)}: {reason}")
+
+
+def _check_manifest(path: str) -> None:
+    """Refuse, before any work or output, a --manifest path that `open` would
+    refuse because it is a directory or its directory is missing, with the
+    reason `open` gives."""
+    import errno
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path) or path.endswith(os.sep):
+        raise _manifest_error(path, os.strerror(errno.EISDIR))
+    if not os.path.isdir(parent):
+        try:
+            os.stat(parent)
+        except OSError as exc:  # missing, or under a file
+            raise _manifest_error(path, exc.strerror) from exc
+        raise _manifest_error(path, os.strerror(errno.ENOTDIR))
 
 
 def _csv(rows) -> str:
@@ -387,6 +405,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.manifest:
+            _check_manifest(args.manifest)
         from .sequences import parse_sequence_spec
         args.func(args, parse_sequence_spec(args.seq))
     except ArgumentError as exc:

@@ -1,9 +1,9 @@
 """Position ladder and base windows for the cycling digit construction.
 
 Positions are split into runs of windows of growing length r. The ladder
-index ladder_index is the first position where (running_max**2 + 1)**r fits below
-the position itself; region boundaries boundary round those down so each region
-splits evenly into length-r windows.
+index n_r = ladder_index(r) is the first position where (running_max**2 + 1)**r
+fits below the position itself; the region boundaries N_r = boundary(r) round
+those down so each region splits evenly into length-r windows.
 """
 
 from __future__ import annotations
@@ -18,11 +18,12 @@ DEFAULT_SCAN_BOUND = 10**9
 
 
 class PartitionIndex:
-    """Caches the ladder ladder_index, region boundaries boundary, and position lookups."""
+    """Caches the ladder indices n_r = ladder_index(r), the region boundaries
+    N_r = boundary(r), and position lookups."""
 
     def __init__(self, seq: BasicSequence):
         self.seq = seq
-        self._n = [None]  # 1-based: self._n[r] = ladder_index
+        self._n = [None]  # 1-based: self._n[r] = n_r
         self._N = [None, 0]  # self._N[1] = 0
 
     def ladder_index(self, r: int) -> int:

@@ -127,53 +127,52 @@ def _run_base(seq: BasicSequence, first: int, last: int, d: int) -> int | None:
     return c if c == seq.base_at(last) and c**d <= 1 << 61 else None
 
 
-def _exact_values(values) -> list[Fraction] | None:
-    if isinstance(values, np.ndarray):
-        return None
-    if values and all(isinstance(v, Rational) and not isinstance(v, float) for v in values):
-        return [Fraction(v) for v in values]
-    return None
+def _sorted_sample(values) -> np.ndarray:
+    """The sample sorted: an object array of exact Fractions for rational
+    inputs, floats otherwise."""
+    if not isinstance(values, np.ndarray):
+        values = list(values)  # read twice below, and an iterator reads only once
+        if values and all(isinstance(v, Rational) and not isinstance(v, float) for v in values):
+            return np.array(sorted(Fraction(v) for v in values), dtype=object)
+    return np.sort(np.asarray(values, dtype=np.float64))
 
 
-def _sorted_discrepancies(xs: np.ndarray) -> tuple[float, float]:
-    """Star and extreme discrepancy of a sorted float sample.
+def _discrepancies(xs: np.ndarray, ks: np.ndarray | None = None) -> tuple:
+    """Star and extreme discrepancy of the sorted values xs, the j-th taken
+    ks[j] times, or each once when ks is None.
 
     With d_i = i/N - x_(i), the star discrepancy is max(max d_i, 1/N - min d_i)
-    and the extreme one 1/N + max d_i - min d_i. The d_i are formed in blocks
-    of _ORBIT_CHUNK, so no length-N temporary is made.
+    and the extreme one 1/N + max d_i - min d_i. For fixed x, fl(fl(i/N) - x)
+    is nondecreasing in i, so a value held at sorted indices a..b has its
+    largest d_i at b and its smallest at a. The d_i are formed in blocks of
+    _ORBIT_CHUNK values, so no length-N temporary is made. Floats give
+    Python floats; an object array of Fractions gives exact Fractions.
     """
-    n = xs.size
-    if n < 1:
+    if xs.size < 1:
         raise ArgumentError("discrepancy needs at least one sample")
-    _check_unit((xs[0], xs[-1]))  # NaN sorts last
-    low, high = np.inf, -np.inf
-    for lo in range(0, n, _ORBIT_CHUNK):
-        hi = min(lo + _ORBIT_CHUNK, n)
-        diffs = np.arange(lo + 1, hi + 1, dtype=np.float64)
-        diffs /= n
-        diffs -= xs[lo:hi]
-        low, high = min(low, diffs.min()), max(high, diffs.max())
-    return _from_extremes(n, low, high)
-
-
-def _from_extremes(n: int, low, high) -> tuple[float, float]:
-    """Star and extreme discrepancy from the smallest and largest d_i."""
-    return float(max(high, 1.0 / n - low)), float(1.0 / n + high - low)
-
-
-def _sample_discrepancies(values) -> tuple:
-    """Star and extreme discrepancy of a sample from one sort: exact
-    Fractions for rational inputs, floats from numpy otherwise."""
-    if not isinstance(values, np.ndarray):
-        values = list(values)  # both paths read it, and an iterator reads only once
-    exact = _exact_values(values)
-    if exact is None:
-        return _sorted_discrepancies(np.sort(np.asarray(values, dtype=np.float64)))
-    _check_unit(exact)
-    n = len(exact)
-    diffs = [Fraction(i, n) - x for i, x in enumerate(sorted(exact), start=1)]
-    low, high = min(diffs), max(diffs)
-    return max(high, Fraction(1, n) - low), Fraction(1, n) + high - low
+    if not (0 <= xs[0] and xs[-1] < 1):  # NaN sorts last
+        raise ArgumentError("samples must lie in [0, 1)")
+    exact = xs.dtype == object
+    # i/N: an exact Fraction(i, N) for Fractions, numpy's float quotient otherwise
+    over = np.frompyfunc(Fraction, 2, 1) if exact else np.divide
+    n = xs.size if ks is None else int(ks.sum())
+    high, low, seen = -np.inf, np.inf, 0
+    for lo in range(0, xs.size, _ORBIT_CHUNK):
+        x = xs[lo : lo + _ORBIT_CHUNK]
+        if ks is None:  # each point its own group: one d_i per point
+            d_last = np.arange(lo + 1, lo + 1 + x.size, dtype=xs.dtype)
+            over(d_last, n, out=d_last)
+            d_last -= x
+            d_first = d_last
+        else:
+            k = ks[lo : lo + _ORBIT_CHUNK]
+            last = np.cumsum(k) + seen
+            seen = last[-1]
+            d_last = over(last, n) - x
+            d_first = over(last - k + 1, n) - x
+        high, low = max(high, d_last.max()), min(low, d_first.min())
+    star, extreme = max(high, over(1, n) - low), over(1, n) + high - low
+    return (star, extreme) if exact else (float(star), float(extreme))
 
 
 def star_discrepancy(values):
@@ -181,18 +180,13 @@ def star_discrepancy(values):
 
     Rational inputs give an exact Fraction; float inputs use numpy.
     """
-    return _sample_discrepancies(values)[0]
+    return _discrepancies(_sorted_sample(values))[0]
 
 
 def extreme_discrepancy(values):
     """Exact two-sided discrepancy: 1/N + max_i(i/N - x_i) - min_i(i/N - x_i)
     over the sorted sample. Equals the supremum over all half-open intervals."""
-    return _sample_discrepancies(values)[1]
-
-
-def _check_unit(values) -> None:
-    if any(not (0 <= v < 1) for v in values):  # also refuses NaN
-        raise ArgumentError("samples must lie in [0, 1)")
+    return _discrepancies(_sorted_sample(values))[1]
 
 
 @dataclass
@@ -224,10 +218,8 @@ def orbit_discrepancy_report(E, checkpoints, *, depth: int | None = None) -> Dis
 
     No sample array is held: each orbit block, cut at the checkpoints too,
     is reduced to its sorted values with their counts, which merge at each
-    checkpoint into the running groups of equal values. For fixed x,
-    fl(fl(i/N) - x) is nondecreasing in i, so a group at sorted indices a..b
-    has its largest d_i at b and its smallest at a: the very floats that
-    `_sorted_discrepancies` takes its max and min over."""
+    checkpoint into the running groups of equal values; `_discrepancies`
+    reads the groups with their counts, as it reads a sorted sample."""
     cps = check_checkpoints(checkpoints)
     xs, ks = np.empty(0), np.empty(0, dtype=np.int64)
     pending, max_eps, rows = [], 0.0, []
@@ -236,9 +228,7 @@ def orbit_discrepancy_report(E, checkpoints, *, depth: int | None = None) -> Dis
         max_eps = max(max_eps, float(1.0 / np.min(den)))
         if hi == cps[len(rows)]:
             xs, ks = _merge_groups(xs, ks, pending)
-            last = np.cumsum(ks)
-            high, low = (last / hi - xs).max(), ((last - ks + 1) / hi - xs).min()
-            rows.append(DiscrepancyRow(hi, *_from_extremes(hi, low, high), max_eps))
+            rows.append(DiscrepancyRow(hi, *_discrepancies(xs, ks), max_eps))
     return DiscrepancyReport("default" if depth is None else f"fixed:{depth}", rows)
 
 

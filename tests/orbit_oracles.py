@@ -3,12 +3,15 @@
 `orbit_truncated` evaluates one truncated orbit value exactly, in Python
 ints from the stream's prefix; tests compare the library's bulk float routes
 with it. `orbit_exact_finite` gives the exact orbit value of a number with
-finitely many digits.
+finitely many digits. `sorted_discrepancies` reads the star and extreme
+discrepancy of a sorted float sample in one full-length pass.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
+
+import numpy as np
 
 from cantornormal import ArgumentError, PartitionIndex, truncation_depth
 from cantornormal.errors import excerpt
@@ -61,3 +64,14 @@ def orbit_exact_finite(seq, x, m: int) -> Fraction:
     for i in range(1, m + 1):
         value *= seq.base_at(i)
     return value % 1
+
+
+def sorted_discrepancies(xs: np.ndarray) -> tuple[float, float]:
+    """Star and extreme discrepancy of a sorted float sample: with
+    d_i = i/N - x_(i), max(max d_i, 1/N - min d_i) and 1/N + max d_i - min d_i."""
+    n = xs.size
+    diffs = np.arange(1, n + 1, dtype=np.float64)
+    diffs /= n
+    diffs -= xs
+    low, high = diffs.min(), diffs.max()
+    return float(max(high, 1.0 / n - low)), float(1.0 / n + high - low)

@@ -488,7 +488,7 @@ def test_bad_input_exits_2(capsys, monkeypatch, tmp_path, case):
                               "--checkpoints", "10"),
         "diagnose-empty-block-field": ("diagnose", "--seq", "constant:2", "--block", "-1",
                                        "--checkpoints", "10,100"),
-        # the manifest is written after the output, which is complete by then
+        # refused before the work, so no output is written
         "manifest-parent-missing": ("digits", "--seq", "constant:2", "--count", "5",
                                     "--manifest", "missing/m.json"),
         "manifest-is-dir": ("digits", "--seq", "constant:2", "--count", "5",
@@ -508,7 +508,7 @@ def test_bad_input_exits_2(capsys, monkeypatch, tmp_path, case):
         "periodic-empty": ("digits", "--seq", "periodic:", "--count", "4"),
     }[kind]
     monkeypatch.chdir(tmp_path)
-    code, _, err = run_cli(capsys, *argv)
+    code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert "error[argument]" in err
     assert len(err) < 1024
@@ -518,7 +518,22 @@ def test_bad_input_exits_2(capsys, monkeypatch, tmp_path, case):
         assert err == f"error[argument]: {PINNED_ERRORS[case]}\n"
     if kind.startswith("manifest-"):
         assert err.count("\n") == 1 and f"manifest to {argv[-1]!r}:" in err
+        assert out == ""
 
+
+
+@pytest.mark.parametrize("path", [".", "missing/m.json", "missing/", "file/m.json",
+                                  "file/", "file/x/m.json"])
+def test_unwritable_manifest_is_refused_before_any_output(capsys, monkeypatch, tmp_path, path):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "file").write_text("")
+    with pytest.raises(OSError) as want:
+        open(path, "w")
+    code, out, err = run_cli(capsys, "digits", "--seq", "constant:2", "--count", "5",
+                             "--manifest", path)
+    assert (code, out) == (2, "")
+    assert err == f"error[argument]: cannot write the manifest to {path!r}: {want.value.strerror}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]  # nothing created
 
 def test_block_digits_separate_by_comma_or_dash(capsys):
     outs = []

@@ -33,7 +33,7 @@ from cantornormal import orbit
 from cantornormal.kernels import orbit_numbers
 from cantornormal.ladder import PartitionIndex
 
-from orbit_oracles import orbit_exact_finite, orbit_truncated
+from orbit_oracles import orbit_exact_finite, orbit_truncated, sorted_discrepancies
 
 
 def brute_star(values):
@@ -345,7 +345,7 @@ def test_counted_report_equals_the_sorted_sample(spec, data, chunk, count, share
         report = orbit_discrepancy_report(E, cps, depth=depth)
     values, eps = orbit_values(E, count, depth=depth)
     assert [(r.n, r.d_star, r.d_extreme, r.max_eps) for r in report.rows] == [
-        (n, *orbit._sorted_discrepancies(np.sort(values[:n])), float(eps[:n].max()))
+        (n, *sorted_discrepancies(np.sort(values[:n])), float(eps[:n].max()))
         for n in sorted(set(cps))]  # bit for bit
 
 
@@ -605,3 +605,31 @@ def test_nan_samples_are_refused(fn, sample):
     for values in (sample, np.asarray(sample)):
         with pytest.raises(ArgumentError, match=r"samples must lie in \[0, 1\)"):
             fn(values)
+
+
+def _brute_exact(xs):
+    """Star and extreme discrepancy of a Fraction sample as the supremum of
+    |count/N - length| over the intervals whose ends are sample values, 0 or
+    1, each end open or closed; exact and quadratic in the sample size."""
+    n = len(xs)
+    ends = sorted(set(xs) | {Fraction(0), Fraction(1)})
+
+    def gaps(a, b):
+        below_a = sum(x < a for x in xs), sum(x <= a for x in xs)
+        below_b = sum(x < b for x in xs), sum(x <= b for x in xs)
+        return [abs(Fraction(cb - ca, n) - (b - a)) for ca in below_a for cb in below_b]
+
+    star = max(max(gaps(Fraction(0), b)[:2]) for b in ends)  # [0, b) and [0, b]
+    extreme = max(max(gaps(a, b)) for i, a in enumerate(ends) for b in ends[i:])
+    return star, extreme
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from([Fraction(k, 6) for k in range(6)] + [Fraction(1, 7)]),
+                min_size=1, max_size=12))
+def test_exact_discrepancy_across_block_seams_equals_brute_force(chunk, xs):
+    with mock.patch.object(orbit, "_ORBIT_CHUNK", chunk):
+        got = star_discrepancy(xs), extreme_discrepancy(xs)
+    assert all(type(v) is Fraction for v in got)
+    assert got == _brute_exact(xs)
