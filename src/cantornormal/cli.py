@@ -42,14 +42,9 @@ def _build_target(name: str, seq, args):
 
 def _load_digit_file(seq, path):
     from .digitseq import finite_digits
-    from .sequences import read_text
+    from .sequences import read_json, read_text
     if path.suffix == ".json":
-        import json
-        try:
-            # ValueError also covers integers past Python's int-parsing digit limit
-            data = json.loads(read_text(path))
-        except ValueError as exc:
-            raise ArgumentError(f"{path}: bad JSON: {exc}") from exc
+        data = read_json(read_text(path), f"{path}: bad JSON")
         if not isinstance(data, dict) or "digits" not in data:
             raise ArgumentError(f"{path}: expected a JSON object with key 'digits'")
         digits = data["digits"]

@@ -80,7 +80,7 @@ def constructed_digits(seq: BasicSequence) -> DigitSequence:
         seq,
         lambda n: generate_digits(seq, n),
         {"op": "construct", "seq": seq.to_json()},
-        window=lambda lo, hi, out: window_digits(seq, pi, lo, hi, out),
+        window=lambda lo, hi, out: window_digits(pi, lo, hi, out),
     )
 
 

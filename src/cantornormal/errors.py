@@ -33,8 +33,12 @@ class RefinementError(CantorSeriesError):
     code = "refinement"
 
 
-def excerpt(value) -> str:
-    """The repr of `value` cut to its first 60 characters: error messages
-    quote user input through this, so a huge input cannot flood stderr."""
-    text = repr(value)
+def shorten(text: str) -> str:
+    """`text` cut to its first 60 characters: error messages quote user input
+    through this, so a huge input cannot flood stderr."""
     return text if len(text) <= 60 else text[:57] + "..."
+
+
+def excerpt(value) -> str:
+    """The repr of `value`, shortened as `shorten` does."""
+    return shorten(repr(value))

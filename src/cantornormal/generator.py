@@ -26,7 +26,7 @@ import numpy as np
 from .errors import ArgumentError, CounterSpillError, excerpt
 from .kernels import _check_key_width
 from .ladder import PartitionIndex, block_from_index
-from .sequences import BasicSequence, check_position
+from .sequences import BasicSequence, check_length, check_position
 
 DEFAULT_SPILL_LIMIT = 10**7
 # a class with this many members in one read decodes one period of its digits and
@@ -113,16 +113,15 @@ def region_decode(seq: BasicSequence, lo: int, r: int, out: np.ndarray, skip: in
     return int(np.count_nonzero(rank0 == 0))  # the first class with each window
 
 
-def window_digits(seq: BasicSequence, pi: PartitionIndex, lo: int, hi: int,
-                  out: np.ndarray) -> None:
-    """Write the digits at positions lo + 1..hi into `out`; `pi` is the
-    ladder of `seq`. Only the windows holding those positions are decoded
-    (region_decode)."""
+def window_digits(pi: PartitionIndex, lo: int, hi: int, out: np.ndarray) -> None:
+    """Write the digits over the ladder's sequence `pi.seq` at positions
+    lo + 1..hi into `out`. Only the windows holding those positions are
+    decoded (region_decode)."""
     pos = lo
     while pos < hi:
         r = pi.region_of(pos + 1)
         a, b = pi.region(r)
-        distinct = region_decode(seq, a, r, out[pos - lo : min(b, hi) - lo], pos - a)
+        distinct = region_decode(pi.seq, a, r, out[pos - lo : min(b, hi) - lo], pos - a)
         if distinct > DEFAULT_SPILL_LIMIT:
             raise CounterSpillError(
                 f"{distinct} distinct base windows in one region exceeds "
@@ -135,8 +134,9 @@ def generate_digits(seq: BasicSequence, count: int) -> np.ndarray:
     """Digits at positions 1..count as an int64 array."""
     if count < 0:
         raise ArgumentError(f"digit count must be >= 0, got {excerpt(count)}")
+    check_length(count)
     out = np.empty(count, dtype=np.int64)
-    window_digits(seq, PartitionIndex(seq), 0, count, out)
+    window_digits(PartitionIndex(seq), 0, count, out)
     return out
 
 

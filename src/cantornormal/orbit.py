@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ArgumentError, excerpt
 from .kernels import orbit_numbers
 from .ladder import PartitionIndex
-from .sequences import BasicSequence, check_checkpoints
+from .sequences import BasicSequence, check_checkpoints, check_length
 
 # orbit indices per orbit block and per block of the discrepancy tail: keeps
 # the per-step temporaries at a few MB however many points are asked for
@@ -46,6 +46,7 @@ def orbit_values(E, count: int, *, depth: int | None = None) -> tuple[np.ndarray
     are formed block by block, as `_orbit_blocks` describes."""
     if count < 0:
         raise ArgumentError(f"orbit count must be >= 0, got {count}")
+    check_length(count)
     if count == 0:
         return np.empty(0), np.empty(0)
     values, eps = np.empty(count), np.empty(count)
@@ -129,11 +130,17 @@ def _run_base(seq: BasicSequence, first: int, last: int, d: int) -> int | None:
 
 def _sorted_sample(values) -> np.ndarray:
     """The sample sorted: an object array of exact Fractions for rational
-    inputs, floats otherwise."""
+    inputs, floats otherwise. Fractions in [0, 1) sort on (float, exact)
+    keys, as float rounding is monotone and equal floats fall back to the
+    exact compare; any other sample, which `_discrepancies` refuses, may hold
+    a value past the float range and sorts on the exact compare alone."""
     if not isinstance(values, np.ndarray):
         values = list(values)  # read twice below, and an iterator reads only once
         if values and all(isinstance(v, Rational) and not isinstance(v, float) for v in values):
-            return np.array(sorted(Fraction(v) for v in values), dtype=object)
+            values = [Fraction(v) for v in values]
+            inside = all(0 <= v.numerator < v.denominator for v in values)
+            values.sort(key=(lambda v: (float(v), v)) if inside else None)
+            return np.array(values, dtype=object)
     return np.sort(np.asarray(values, dtype=np.float64))
 
 
@@ -196,9 +203,6 @@ class DiscrepancyRow:
     d_extreme: float
     max_eps: float
 
-    def as_csv(self) -> list:
-        return [self.n, repr(self.d_star), repr(self.d_extreme), repr(self.max_eps)]
-
 
 @dataclass
 class DiscrepancyReport:
@@ -206,7 +210,8 @@ class DiscrepancyReport:
     rows: list[DiscrepancyRow]
 
     def csv_rows(self) -> list[list]:
-        return [["n", "d_star", "d_extreme", "max_eps"]] + [r.as_csv() for r in self.rows]
+        return [["n", "d_star", "d_extreme", "max_eps"]] + [
+            [r.n, repr(r.d_star), repr(r.d_extreme), repr(r.max_eps)] for r in self.rows]
 
     def to_json(self) -> dict:
         return {"depth": self.depth, "rows": [asdict(r) for r in self.rows]}

@@ -24,13 +24,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ArgumentError, ScanBoundError, excerpt
+from .errors import ArgumentError, ScanBoundError, excerpt, shorten
 
 _LOG_BASE_VALUES = {"e": math.e, "2": 2.0, "10": 10.0}
 # largest c with b**c a finite float; floor_log compares v with the float
 # b**c, so for bases e and 10 it has no level past this one
 FLOAT_LEVEL_CAP = {"e": 709, "10": 308}
 _POSITION_BIT_CAP = 10**7  # refuse positions that need more bits than this
+# base_at, first_position and to_json recurse once per pointwise level, so a
+# chain stays far below the interpreter's recursion limit of about 1000 frames
+POINTWISE_DEPTH_CAP = 100
 
 
 def check_position(n: int) -> None:
@@ -54,17 +57,12 @@ def check_checkpoints(checkpoints) -> list[int]:
     return cps
 
 
-def floor_log2(v: int) -> int:
-    """Exact floor(log2(v)) for a positive integer."""
-    return v.bit_length() - 1
-
-
 def floor_log(v: int, log_base: str) -> int:
     """floor(log(v)) in the requested log base, exact for base 2."""
     if v < 1:
         raise ArgumentError(f"floor_log needs a positive integer, got {v}")
     if log_base == "2":
-        return floor_log2(v)
+        return v.bit_length() - 1
     # v is a small integer in practice; log(v) is never exactly an integer
     # for v >= 2 except at powers of the base, which the correction loop fixes.
     b = _LOG_BASE_VALUES[log_base]
@@ -118,6 +116,18 @@ def read_text(path: Path) -> str:
         raise ArgumentError(f"{excerpt(str(path))} is not UTF-8 text") from exc
 
 
+def read_json(text: str, where: str):
+    """The JSON document `text`; one that does not parse is an ArgumentError
+    whose message is `where` and the parser's complaint."""
+    import json
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        # ValueError also covers integers past Python's int-parsing digit limit, and
+        # RecursionError arrays or objects nested past the interpreter's recursion limit
+        raise ArgumentError(f"{where}: {exc}") from exc
+
+
 def _check_bases(values) -> list[int]:
     """values as a list of ints, refusing non-integers and bases below 2."""
     try:
@@ -168,7 +178,7 @@ class BasicSequence:
     def first_position(self, c: int) -> int:
         """Least position t with base_at(t) >= c; nondecreasing kinds give
         it in closed form."""
-        raise ArgumentError(f"no closed-form position search for {self.spec_string()}")
+        raise ArgumentError(f"no closed-form position search for {shorten(self.spec_string())}")
 
     def base_runs(self, lo: int, hi: int) -> list[tuple[int, int, int]]:
         """Positions lo..hi as runs of constant base, for nondecreasing kinds:
@@ -269,7 +279,7 @@ class ConstantSequence(BasicSequence):
 
     def first_position(self, c: int) -> int:
         if c > self.b:
-            raise ArgumentError(f"{self.spec_string()} never reaches base {c}")
+            raise ArgumentError(f"{shorten(self.spec_string())} never reaches base {c}")
         return 1
 
     def to_json(self) -> dict:
@@ -322,9 +332,9 @@ class PresetSequence(BasicSequence):
 
     def base_at(self, n: int) -> int:
         check_position(n)
-        v = floor_log2(n + 4)
+        v = floor_log(n + 4, "2")
         if self.name == "iterated-log":
-            v = floor_log2(max(v, 1))
+            v = floor_log(max(v, 1), "2")
         return max(2, v)
 
     def first_position(self, c: int) -> int:
@@ -335,7 +345,7 @@ class PresetSequence(BasicSequence):
         bits = c if self.name == "log" else 1 << min(c, 64)
         if bits > _POSITION_BIT_CAP:
             raise ScanBoundError(
-                f"position where {self.spec_string()} reaches base {c} is not "
+                f"position where {shorten(self.spec_string())} reaches base {c} is not "
                 "representable at desk scale"
             )
         return (1 << bits) - 4
@@ -373,7 +383,8 @@ class PointwiseSequence(BasicSequence):
 
     Both ops are monotone in q_n, so the result is nondecreasing when `of`
     is; otherwise its head and cycle are those of `of` mapped through the
-    op, each distinct base once.
+    op, each distinct base once. Chains of pointwise sequences nest at most
+    POINTWISE_DEPTH_CAP deep.
     """
 
     _OPS = ("log-of", "half-of")
@@ -382,6 +393,11 @@ class PointwiseSequence(BasicSequence):
         if op not in self._OPS:
             raise ArgumentError(f"unknown pointwise op {excerpt(op)}")
         _check_log_base(log_base)
+        depth, inner = 1, of
+        while isinstance(inner, PointwiseSequence):
+            depth, inner = depth + 1, inner.of
+        if depth > POINTWISE_DEPTH_CAP:
+            raise ArgumentError(f"pointwise sequences nest at most {POINTWISE_DEPTH_CAP} deep")
         self.of = of
         self.op = op
         self.log_base = log_base
@@ -416,33 +432,43 @@ class PointwiseSequence(BasicSequence):
         }
 
 
-def sequence_from_json(obj: dict) -> BasicSequence:
-    """Rebuild a sequence from its JSON description."""
+def _kind(obj):
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ArgumentError(f"not a sequence description: {excerpt(obj)}")
-    kind = obj["kind"]
+    return obj["kind"]
+
+
+def sequence_from_json(obj: dict) -> BasicSequence:
+    """Rebuild a sequence from its JSON description. A pointwise chain is
+    read down to the description it wraps, which is built first and then
+    wrapped outward, so nothing recurses over the chain before
+    PointwiseSequence refuses one nested too deep."""
+    chain = []  # the pointwise descriptions read so far, outermost first
     try:
+        while (kind := _kind(obj)) == "pointwise":
+            chain.append(obj)
+            obj = obj["of"]
         if kind == "constant":
-            return ConstantSequence(obj["b"])
-        if kind == "periodic":
-            return PeriodicSequence(obj["bases"])
-        if kind == "table":
+            seq = ConstantSequence(obj["b"])
+        elif kind == "periodic":
+            seq = PeriodicSequence(obj["bases"])
+        elif kind == "table":
             seq = TableSequence(obj["bases"])
             extend = obj.get("extend", "repeat-last")
             if extend != "repeat-last":
                 raise ArgumentError(f"unknown table extension rule {excerpt(extend)}")
-            return seq
-        if kind == "preset":
-            if obj["name"] == "index-log":
-                return IndexLogSequence(obj.get("log_base", "e"))
-            return PresetSequence(obj["name"])
-        if kind == "pointwise":
-            return PointwiseSequence(
-                sequence_from_json(obj["of"]), obj["op"], obj.get("log_base", "e")
-            )
+        elif kind == "preset" and obj["name"] == "index-log":
+            seq = IndexLogSequence(obj.get("log_base", "e"))
+        elif kind == "preset":
+            seq = PresetSequence(obj["name"])
+        else:
+            raise ArgumentError(f"unknown sequence kind {excerpt(kind)}")
+        for obj in reversed(chain):
+            seq = PointwiseSequence(seq, obj["op"], obj.get("log_base", "e"))
     except KeyError as exc:
-        raise ArgumentError(f"{kind} sequence description lacks the key {exc}") from exc
-    raise ArgumentError(f"unknown sequence kind {excerpt(kind)}")
+        # obj is the description being read: a wrapper in the chain, or what it wraps
+        raise ArgumentError(f"{obj['kind']} sequence description lacks the key {exc}") from exc
+    return seq
 
 
 def parse_sequence_spec(spec: str) -> BasicSequence:
@@ -468,13 +494,8 @@ def parse_sequence_spec(spec: str) -> BasicSequence:
     elif head == "preset":
         data = {"kind": "preset", "name": rest}
     elif head in ("file", "json"):
-        import json
         text = read_text(Path(rest)) if head == "file" else rest
-        try:
-            # ValueError also covers integers past Python's int-parsing digit limit
-            data = json.loads(text)
-        except ValueError as exc:
-            raise ArgumentError(f"bad sequence JSON in {excerpt(spec)}: {exc}") from exc
+        data = read_json(text, f"bad sequence JSON in {excerpt(spec)}")
     else:
         raise ArgumentError(f"unknown sequence spec kind {excerpt(head)}")
     return sequence_from_json(data)

@@ -136,16 +136,6 @@ class BlockCountRow:
     expected: Fraction
     ratio: float | None
 
-    def as_csv(self) -> list:
-        return [
-            format_block(self.block),
-            self.n,
-            self.observed,
-            self.expected.numerator,
-            self.expected.denominator,
-            "" if self.ratio is None else repr(self.ratio),
-        ]
-
 
 @dataclass
 class ConvergenceReport:
@@ -158,7 +148,9 @@ class ConvergenceReport:
 
     def csv_rows(self) -> list[list]:
         header = ["block", "n", "observed", "expected_num", "expected_den", "ratio"]
-        return [header] + [r.as_csv() for r in self.rows]
+        return [header] + [[format_block(r.block), r.n, r.observed, r.expected.numerator,
+                            r.expected.denominator, "" if r.ratio is None else repr(r.ratio)]
+                           for r in self.rows]
 
     def to_json(self) -> dict:
         m = len(self.checkpoints)

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import UD_KINDS
 from .digitseq import DigitSequence, constructed_digits
-from .errors import ArgumentError, CantorSeriesError, ScanBoundError
+from .errors import ArgumentError, CantorSeriesError, ScanBoundError, shorten
 from .sequences import (
     BasicSequence,
     IndexLogSequence,
@@ -165,7 +165,7 @@ def _require_infinite(seq: BasicSequence, what: str) -> None:
     if not seq.infinite_in_limit:
         raise ArgumentError(
             f"{what} needs a sequence with unbounded bases; "
-            f"{seq.spec_string()} is bounded"
+            f"{shorten(seq.spec_string())} is bounded"
         )
 
 

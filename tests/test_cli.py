@@ -369,6 +369,11 @@ PINNED_ERRORS = {
     "constant-below-2": "bases must be >= 2, got [1]",
     "periodic-below-2": "bases must be >= 2, got [1, 2]",
     "periodic-empty": "periodic sequence needs at least one base",
+    "deep-pointwise-chain": "pointwise sequences nest at most 100 deep",
+    # a sequence is quoted by its first 60 characters, as user input is
+    "long-periodic-orbit-sink": "the orbit-sink construction needs a sequence with unbounded "
+                                "bases; periodic:2,3,2,3,2,3,2,3,2,3,2,3,2,3,2,3,2,3,2,3,2,3,"
+                                "2,3,... is bounded",
 }
 
 
@@ -387,7 +392,8 @@ PINNED_ERRORS = {
      "past-int64-diagnose-checkpoint", "past-int64-depth", "diagnose-empty-block-field",
      "manifest-parent-missing", "manifest-is-dir", "bad-depth", "bad-seq-spec", "bad-source",
      "depth-zero", "past-int64-digit-file", "constant-below-2", "periodic-below-2",
-     "periodic-empty"]
+     "periodic-empty", "deep-json-seq", "deep-json-seq-file", "deep-json-digit-file",
+     "deep-pointwise-chain", "long-periodic-orbit-sink"]
     + [f"digit-json {text}" for text in BAD_DIGIT_JSON_FILES]
     + [f"json-seq {text}" for text in BAD_SEQ_JSON]
     + [f"empty-block-field {text}" for text in BAD_BLOCKS],
@@ -414,6 +420,14 @@ def test_bad_input_exits_2(capsys, monkeypatch, tmp_path, case):
     past = "9" * 20
     past_digit_file = tmp_path / "past.txt"
     past_digit_file.write_text(f"{past}\n1\n")
+    # nested past the interpreter's recursion limit, which json.loads reports
+    # as a RecursionError
+    deep = "[" * 5000 + "]" * 5000
+    deep_seq_file = tmp_path / "deep-seq.json"
+    deep_seq_file.write_text(deep)
+    deep_digit_file = tmp_path / "deep-digits.json"
+    deep_digit_file.write_text('{"digits": ' + "[" * 3000 + "]" * 3000 + "}")
+    chain = '{"kind":"pointwise","op":"half-of","of":' * 500 + '{"kind":"constant","b":3}' + "}" * 500
     argv = {
         "bad-json-seq": ("digits", "--seq", "json:{bad", "--count", "4"),
         "bad-json-seq-file": ("digits", "--seq", f"file:{seq_file}", "--count", "4"),
@@ -506,6 +520,15 @@ def test_bad_input_exits_2(capsys, monkeypatch, tmp_path, case):
         "constant-below-2": ("digits", "--seq", "constant:1", "--count", "4"),
         "periodic-below-2": ("digits", "--seq", "periodic:1,2", "--count", "4"),
         "periodic-empty": ("digits", "--seq", "periodic:", "--count", "4"),
+        "deep-json-seq": ("digits", "--seq", f"json:{deep}", "--count", "4"),
+        "deep-json-seq-file": ("digits", "--seq", f"file:{deep_seq_file}", "--count", "4"),
+        "deep-json-digit-file": ("stats", "--seq", "constant:2", "--source",
+                                 f"file:{deep_digit_file}", "--blocks", "0",
+                                 "--checkpoints", "1"),
+        # parses, but recursing over 500 pointwise levels would pass the recursion limit
+        "deep-pointwise-chain": ("digits", "--seq", f"json:{chain}", "--count", "4"),
+        "long-periodic-orbit-sink": ("construct", "--seq", "periodic:" + "2,3," * 300,
+                                     "--target", "nq-not-dnq", "--count", "5"),
     }[kind]
     monkeypatch.chdir(tmp_path)
     code, out, err = run_cli(capsys, *argv)
@@ -514,6 +537,12 @@ def test_bad_input_exits_2(capsys, monkeypatch, tmp_path, case):
     assert len(err) < 1024
     if kind == "huge-int-digit-file":
         assert "bad JSON" in err  # the parse error, not a missing key
+    if kind.startswith("deep-json-"):
+        where = {"deep-json-seq": "bad sequence JSON in 'json:[[[",
+                 "deep-json-seq-file": "bad sequence JSON in 'file:",
+                 "deep-json-digit-file": f"{deep_digit_file}: bad JSON"}[kind]
+        assert err.startswith(f"error[argument]: {where}")
+        assert ": maximum recursion depth exceeded" in err and err.count("\n") == 1
     if case in PINNED_ERRORS:
         assert err == f"error[argument]: {PINNED_ERRORS[case]}\n"
     if kind.startswith("manifest-"):

@@ -41,7 +41,17 @@ GOOD_SEQ_JSON = st.sampled_from([
     '{"kind": "pointwise", "op": "log-of", "of": {"kind": "preset", "name": "log"}}',
     '{"kind": "pointwise", "op": "half-of", "of": {"kind": "constant", "b": 7}}',
 ])
+# documents nested past the interpreter's recursion limit (which hypothesis
+# raises by about 2000 frames while a test runs), and pointwise chains below,
+# at and past the nesting bound
+NESTED_JSON = st.one_of(
+    st.sampled_from([5000, 20000]).map(lambda n: "[" * n + "]" * n),
+    st.sampled_from([5000, 20000]).map(lambda n: '{"digits": ' + "[" * n + "]" * n + "}"),
+    st.integers(1, 1200).map(lambda n: '{"kind": "pointwise", "op": "half-of", "of": ' * n
+                             + '{"kind": "constant", "b": 7}' + "}" * n),
+)
 BAD_JSON = st.one_of(
+    NESTED_JSON,
     st.sampled_from([
         "{bad", "", "[]", "{}", "5", '"constant"', '{"kind": 5}',
         f'{{"kind": "constant", "b": {HUGE}}}',

@@ -27,6 +27,8 @@ from cantornormal import (
     build_patched_uniform,
     constructed_digits,
     finite_digits,
+    generate_digits,
+    orbit_values,
     parse_sequence_spec,
 )
 from cantornormal import transforms
@@ -109,6 +111,11 @@ def test_window_refusals_match_the_prefix():
         xq.prefix(2**63)
     with pytest.raises(ArgumentError, match=re.escape(str(want.value))):
         xq.window(2**63, 2**63)
+    # the library's bulk entry points refuse that length before allocating too
+    with pytest.raises(ArgumentError, match=re.escape(str(want.value))):
+        generate_digits(LOG, 2**63)
+    with pytest.raises(ArgumentError, match=re.escape(str(want.value))):
+        orbit_values(xq, 2**63)
     with pytest.raises(ArgumentError, match="lo <= hi"):
         xq.window(5, 4)
     with pytest.raises(ArgumentError, match="lo <= hi"):

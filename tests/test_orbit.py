@@ -139,6 +139,10 @@ def test_sample_domain_validated():
         star_discrepancy(np.array([0.5, 1.0]))
     with pytest.raises(ArgumentError):
         extreme_discrepancy([Fraction(3, 2)])
+    # past the float range: refused, not sorted on float keys
+    for far in (Fraction(10**400), -Fraction(10**400)):
+        with pytest.raises(ArgumentError, match=re.escape("samples must lie in [0, 1)")):
+            extreme_discrepancy([Fraction(1, 2), far])
     with pytest.raises(ArgumentError):
         star_discrepancy(np.array([]))
 
@@ -266,21 +270,10 @@ def test_one_sort_discrepancies_equal_two_sort_formulas(xs):
         assert extreme_discrepancy(sample) == _extreme_reference(xs)
 
 
-def _discrepancies_unblocked(xs):
-    """The discrepancy tail in one full-length pass: d_i = i/N - x_(i)."""
-    xs = np.sort(np.asarray(xs, dtype=np.float64))
-    n = xs.size
-    diffs = np.arange(1, n + 1, dtype=np.float64)
-    diffs /= n
-    diffs -= xs
-    low, high = diffs.min(), diffs.max()
-    return float(max(high, 1.0 / n - low)), float(1.0 / n + high - low)
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.lists(_unit_floats, min_size=1, max_size=300), st.integers(min_value=1, max_value=300))
 def test_blocked_discrepancy_tail_equals_one_full_length_pass(xs, chunk):
-    want = _discrepancies_unblocked(xs)
+    want = sorted_discrepancies(np.sort(np.asarray(xs, dtype=np.float64)))
     with mock.patch.object(orbit, "_ORBIT_CHUNK", chunk):
         got = star_discrepancy(np.asarray(xs)), extreme_discrepancy(np.asarray(xs))
         report = orbit_discrepancy_report(constructed_digits(ConstantSequence(2)),
@@ -288,7 +281,7 @@ def test_blocked_discrepancy_tail_equals_one_full_length_pass(xs, chunk):
     assert got == want  # bit for bit
     values, _ = orbit_values(constructed_digits(ConstantSequence(2)), len(xs), depth=8)
     assert [(r.d_star, r.d_extreme) for r in report.rows] == [
-        _discrepancies_unblocked(values[:n]) for n in sorted({1, len(xs)})]
+        sorted_discrepancies(np.sort(values[:n])) for n in sorted({1, len(xs)})]
 
 
 def test_report_rows_equal_two_sort_formulas(c2, log_preset):
@@ -633,3 +626,10 @@ def test_exact_discrepancy_across_block_seams_equals_brute_force(chunk, xs):
         got = star_discrepancy(xs), extreme_discrepancy(xs)
     assert all(type(v) is Fraction for v in got)
     assert got == _brute_exact(xs)
+
+
+def test_exact_samples_that_share_a_float_sort_exactly():
+    # three Fractions that round to one float: only the exact compare orders them
+    xs = [Fraction(1, 3) + Fraction(k, 10**30) for k in (2, 0, 1)] + [Fraction(1, 2)]
+    assert len({float(x) for x in xs[:3]}) == 1
+    assert (star_discrepancy(xs), extreme_discrepancy(xs)) == _brute_exact(xs)

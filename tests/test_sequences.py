@@ -28,7 +28,7 @@ from cantornormal import generator
 from cantornormal.generator import region_decode
 from cantornormal.kernels import region_digits
 from cantornormal.ladder import PartitionIndex
-from cantornormal.sequences import floor_log, level_start
+from cantornormal.sequences import POINTWISE_DEPTH_CAP, floor_log, level_start
 from cantornormal.stats import _expected_counts
 
 from stats_oracles import array_expected_counts
@@ -131,6 +131,24 @@ def test_json_round_trip():
         PointwiseSequence(PresetSequence("log"), "half-of"),
     ):
         assert sequence_from_json(s.to_json()) == s
+
+
+def test_pointwise_chains_nest_at_most_the_cap():
+    seq = ConstantSequence(7)
+    for _ in range(POINTWISE_DEPTH_CAP):
+        seq = PointwiseSequence(seq, "half-of")
+    # every walk over the chain recurses once per level
+    assert (seq.base_at(5), seq.first_position(2)) == (2, 1)
+    assert parse_sequence_spec(seq.spec_string()) == seq
+    with pytest.raises(ArgumentError, match=f"^pointwise sequences nest at most "
+                                            f"{POINTWISE_DEPTH_CAP} deep$"):
+        PointwiseSequence(seq, "log-of")
+    # a description nested past the recursion limit is read without recursing
+    deep = {"kind": "constant", "b": 3}
+    for _ in range(5000):
+        deep = {"kind": "pointwise", "op": "half-of", "of": deep}
+    with pytest.raises(ArgumentError, match="^pointwise sequences nest at most"):
+        sequence_from_json(deep)
 
 
 def test_spec_minilanguage(tmp_path):
@@ -255,7 +273,7 @@ def test_head_cycle_bases_and_running_max_match_base_at(seq, data):
     n = data.draw(st.integers(1, span + 3))
     top = seq.running_max(n)
     assert top == max(seq.base_at(i) for i in range(1, n + 1))
-    # floor_log2 and the ladder's (q*q + 1)**r need exact Python ints
+    # floor_log and the ladder's (q*q + 1)**r need exact Python ints
     assert type(top) is int
 
 
